@@ -11,9 +11,9 @@
 //! repro grid   [opts]           # §5.3 hyperparameter grid search (ComplEx)
 //! repro bench-eval [opts]       # ranking-throughput benchmark (legacy vs blocked GEMM)
 //! repro bench-serve [opts]      # serving-throughput benchmark (reference vs batched vs cached)
-//! repro bench-train [opts]      # training-throughput benchmark (legacy HashMap vs blocked
-//!                               # flat-buffer grads, plus the k-vs-all full-softmax and
-//!                               # regularized block-term MEI sections)
+//! repro bench-train [opts]      # training-throughput benchmark (negative sampling, plus
+//!                               # the k-vs-all full-softmax and regularized block-term
+//!                               # MEI sections)
 //!
 //! options:
 //!   --scale tiny|small|full     SynthWN scale (default small)
@@ -26,8 +26,6 @@
 //!   --metrics-out <path>        stream per-epoch/eval JSONL records for every training run
 //!   --limit <n>                 bench-eval: cap evaluated test triples (default 1000, 0 = all)
 //!                               bench-serve: total requests to issue (default 1000)
-//!   --grad-path legacy|blocked  training gradient machinery (default blocked; both are
-//!                               bit-identical — see DESIGN.md §10)
 //!   --threads 1,2,4,8           bench-train: worker counts for the thread-scaling sweep
 //!                               (default 1,2,4,8); every count is asserted bit-identical
 //!                               to the 1-thread run — see DESIGN.md §11
@@ -87,7 +85,6 @@ struct Options {
     limit: usize,
     out: Option<String>,
     overload: bool,
-    grad_path: Option<mei_core::GradPath>,
     threads: Vec<usize>,
     conns: Vec<usize>,
     entities: Option<usize>,
@@ -112,7 +109,6 @@ fn parse_args() -> Options {
         limit: 1000,
         out: None,
         overload: false,
-        grad_path: None,
         threads: Vec::new(),
         conns: Vec::new(),
         entities: None,
@@ -162,10 +158,6 @@ fn parse_args() -> Options {
             }
             "--smoke" => opts.smoke = true,
             "--screen" => opts.screen = value().parse().unwrap_or_else(|_| usage("bad --screen")),
-            "--grad-path" => {
-                opts.grad_path =
-                    Some(value().parse().unwrap_or_else(|e| usage(&format!("bad --grad-path: {e}"))))
-            }
             "--threads" => {
                 opts.threads = value()
                     .split(',')
@@ -196,7 +188,7 @@ fn usage(msg: &str) -> ! {
         "usage: repro <table1|table2|table3|table4|all|train <preset>|ablate|grid|bench-eval|bench-serve|bench-train> \
          [--scale tiny|small|full] [--dataset DIR] [--order hrt|htr] \
          [--seed N] [--epochs N] [--budget N] [--metrics-out run.jsonl] \
-         [--limit N] [--out BENCH_eval.json] [--overload] [--grad-path legacy|blocked] \
+         [--limit N] [--out BENCH_eval.json] [--overload] \
          [--threads 1,2,4,8] [--conns 256,1000] [--entities N] [--screen K] [--smoke]"
     );
     std::process::exit(2)
@@ -235,9 +227,6 @@ fn protocol(opts: &Options) -> Protocol {
     }
     if let Some(b) = opts.budget {
         p.budget = b;
-    }
-    if let Some(gp) = opts.grad_path {
-        p.train.grad_path = gp;
     }
     p.seed = opts.seed;
     p
@@ -718,10 +707,9 @@ fn bench_serve(ds: &Dataset, proto: &Protocol, opts: &Options) {
     println!("\n[bench-serve took {:.1?}]", t0.elapsed());
 }
 
-/// `repro bench-train`: times full training epochs under both gradient
-/// paths (legacy HashMap accumulation vs blocked GEMM forward + flat
-/// gradient slabs), asserts the final parameters are bit-identical, and
-/// optionally writes BENCH_train.json. The report also carries the
+/// `repro bench-train`: times full negative-sampling training epochs,
+/// asserts the final parameters are bit-identical at every worker count,
+/// and optionally writes BENCH_train.json. The report also carries the
 /// k-vs-all full-softmax section: candidate-scores/sec through the
 /// forward and backward GEMMs, with cross-thread parity and
 /// kill-and-resume asserted in-bench.
@@ -776,23 +764,16 @@ fn bench_train(ds: &Dataset, proto: &Protocol, opts: &Options) {
         epochs
     );
     let report = mei_bench::bench_train_throughput(ds, proto, opts.seed, epochs, &opts.threads);
-    for arm in ["legacy_hashmap", "blocked_flat"] {
-        let field = |name: &str| {
-            report.get(arm).and_then(|a| a.get(name)).and_then(|v| v.as_f64()).unwrap_or(0.0)
-        };
-        println!(
-            "  {arm:<16} {:>9.1} triples/sec (grad path)   {:>9.1} triples/sec (epoch)",
-            field("triples_per_sec_grad"),
-            field("triples_per_sec_epoch")
-        );
-    }
-    for key in ["speedup", "speedup_epoch"] {
-        let s = report.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        println!("  {key:<28} {s:>6.2}x");
-    }
-    println!("  final parameters bitwise identical across paths: yes");
+    let field = |name: &str| {
+        report.get("blocked_flat").and_then(|a| a.get(name)).and_then(|v| v.as_f64()).unwrap_or(0.0)
+    };
+    println!(
+        "  negative sampling {:>9.1} triples/sec (grads)   {:>9.1} triples/sec (epoch)",
+        field("triples_per_sec_grad"),
+        field("triples_per_sec_epoch")
+    );
     if let Some(rows) = report.get("thread_scaling").and_then(|v| v.as_arr()) {
-        println!("  thread scaling (blocked path):");
+        println!("  thread scaling:");
         for row in rows {
             let num = |name: &str| row.get(name).and_then(|v| v.as_f64()).unwrap_or(0.0);
             println!(

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use mei_core::regularizer::DirichletRegularizer;
 use mei_core::{ModelConfig, WeightRestriction};
 use mei_core::{
-    BlockTermShape, GradPath, LossKind, MultiEmbedModel, SamplingStrategy, TrainConfig, Trainer,
+    BlockTermShape, LossKind, MultiEmbedModel, SamplingStrategy, TrainConfig, Trainer,
     WeightPreset, WeightVector,
 };
 use mei_eval::ranking::{evaluate_filtered, evaluate_with_stats, top_k_reference};
@@ -633,9 +633,8 @@ struct TrainArm {
 
 impl TrainArm {
     /// Train triples per second through the gradient machinery alone
-    /// (forward + merge + backward phase seconds) — the number the grad
-    /// path actually moves, isolated from sampling/step/project, which
-    /// are shared by both paths.
+    /// (forward + merge + backward phase seconds), isolated from
+    /// sampling/step/project.
     fn grad_triples_per_sec(&self, negatives: usize) -> f64 {
         let positives: usize =
             self.records.iter().map(|r| r.examples / (1 + negatives)).sum();
@@ -695,17 +694,16 @@ fn arm_model(dataset: &Dataset, dim: usize, seed: u64) -> MultiEmbedModel {
     MultiEmbedModel::with_fixed_weights(cfg, WeightPreset::ComplEx.weight_vector(), &mut rng)
 }
 
-/// Trains one arm under `path` with `threads` workers and snapshots the
-/// final parameters.
+/// Trains one arm with `threads` workers and snapshots the final
+/// parameters.
 fn run_train_arm(
     dataset: &Dataset,
     train: &TrainConfig,
     dim: usize,
     seed: u64,
-    path: GradPath,
     threads: usize,
 ) -> TrainArm {
-    run_model_arm(dataset, train, arm_model(dataset, dim, seed), path, threads)
+    run_model_arm(dataset, train, arm_model(dataset, dim, seed), threads)
 }
 
 /// Trains one arm on a caller-supplied model (block-term arms build their
@@ -714,11 +712,9 @@ fn run_model_arm(
     dataset: &Dataset,
     train: &TrainConfig,
     mut model: MultiEmbedModel,
-    path: GradPath,
     threads: usize,
 ) -> TrainArm {
     let mut train = train.clone();
-    train.grad_path = path;
     train.threads = threads;
     let filter = dataset.filter_store();
     let observer = Arc::new(RecordingObserver::default());
@@ -743,18 +739,13 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Measures training throughput of the two gradient paths on `dataset` —
-/// the legacy per-chunk `HashMap` accumulator and the blocked path
-/// (`dot_gather` forward + flat slot-indexed gradient slabs with a
-/// parallel deterministic merge) — and asserts that after `epochs` full
-/// epochs both paths leave **bit-identical** parameters (entities,
-/// relations, ω), the contract that makes the fast path a pure drop-in.
-///
-/// The headline `speedup` compares positives/sec through the gradient
-/// machinery itself (forward + merge + backward phases); `speedup_epoch`
-/// compares whole-epoch throughput including sampling/step/project, which
-/// both paths share. The returned object is the `BENCH_train.json`
-/// artifact written by `repro bench-train`.
+/// Measures negative-sampling training throughput on `dataset` over
+/// `epochs` full epochs (`dot_gather` forward + flat slot-indexed
+/// gradient slabs with a parallel deterministic merge, then the fused
+/// step/project tail): positives/sec through the gradient machinery
+/// (forward + merge + backward phases) and through whole epochs. The
+/// returned object is the `BENCH_train.json` artifact written by
+/// `repro bench-train`.
 ///
 /// `threads` lists worker counts for the thread-scaling sweep (empty picks
 /// 1/2/4/8); each count reruns the blocked arm and asserts its final
@@ -791,41 +782,24 @@ pub fn bench_train_throughput(
     train.seed = seed;
     let dim = protocol.dim_for(2);
 
-    let legacy = run_train_arm(&bench_ds, &train, dim, seed, GradPath::Legacy, 1);
-    let blocked = run_train_arm(&bench_ds, &train, dim, seed, GradPath::Blocked, 1);
-
-    // The acceptance contract: same seed, same data ⇒ the blocked path
-    // reproduces the legacy parameters down to the last bit.
-    assert!(
-        bits_equal(&legacy.entities, &blocked.entities),
-        "blocked path diverged from legacy entity parameters"
-    );
-    assert!(
-        bits_equal(&legacy.relations, &blocked.relations),
-        "blocked path diverged from legacy relation parameters"
-    );
-    assert!(
-        bits_equal(&legacy.omega, &blocked.omega),
-        "blocked path diverged from legacy omega"
-    );
-
+    let blocked = run_train_arm(&bench_ds, &train, dim, seed, 1);
     let negatives = train.negatives_per_positive;
 
-    // Thread-scaling sweep: rerun the blocked arm at each worker count and
-    // hold it to the same bit-identity contract against the 1-thread run.
+    // Thread-scaling sweep: rerun the arm at each worker count and hold
+    // it to the bit-identity contract against the 1-thread run.
     let thread_scaling: Vec<JsonValue> = sweep
         .iter()
         .map(|&t| {
             let arm = if t == 1 {
                 None // the 1-thread baseline was already run above
             } else {
-                Some(run_train_arm(&bench_ds, &train, dim, seed, GradPath::Blocked, t))
+                Some(run_train_arm(&bench_ds, &train, dim, seed, t))
             };
             let arm = arm.as_ref().unwrap_or(&blocked);
             let parity = bits_equal(&arm.entities, &blocked.entities)
                 && bits_equal(&arm.relations, &blocked.relations)
                 && bits_equal(&arm.omega, &blocked.omega);
-            assert!(parity, "{t}-thread blocked run diverged from the 1-thread run");
+            assert!(parity, "{t}-thread run diverged from the 1-thread run");
             json::obj([
                 ("threads", json::int(t)),
                 ("wall_secs", json::num(arm.wall_secs)),
@@ -854,23 +828,7 @@ pub fn bench_train_throughput(
         ("batch_size", json::int(train.batch_size)),
         ("negatives_per_positive", json::int(negatives)),
         ("seed", json::int(seed as usize)),
-        ("legacy_hashmap", legacy.report(negatives)),
         ("blocked_flat", blocked.report(negatives)),
-        (
-            "speedup",
-            json::num(
-                blocked.grad_triples_per_sec(negatives)
-                    / legacy.grad_triples_per_sec(negatives).max(f64::MIN_POSITIVE),
-            ),
-        ),
-        (
-            "speedup_epoch",
-            json::num(
-                blocked.epoch_triples_per_sec(negatives)
-                    / legacy.epoch_triples_per_sec(negatives).max(f64::MIN_POSITIVE),
-            ),
-        ),
-        ("final_params_bitwise_identical", JsonValue::Bool(true)),
         ("thread_scaling", JsonValue::Arr(thread_scaling)),
         ("kvsall", kvsall),
         ("block_term", block_term),
@@ -1035,7 +993,7 @@ pub fn bench_kvsall_throughput(
     train.verbose = false;
     train.seed = seed;
 
-    let base = run_train_arm(&bench_ds, &train, dim, seed, GradPath::Blocked, 1);
+    let base = run_train_arm(&bench_ds, &train, dim, seed, 1);
     let rates = KvRates::of(&base, ne);
     assert!(rates.groups > 0, "kvsall arm scored no groups");
     assert!(
@@ -1057,7 +1015,7 @@ pub fn bench_kvsall_throughput(
     neg_train.checkpoint_every = 0;
     neg_train.verbose = false;
     neg_train.seed = seed;
-    let neg = run_train_arm(&bench_ds, &neg_train, dim, seed, GradPath::Blocked, 1);
+    let neg = run_train_arm(&bench_ds, &neg_train, dim, seed, 1);
     let neg_scores: usize = neg.records.iter().map(|r| r.examples).sum();
     let neg_grad_secs: f64 = neg
         .records
@@ -1083,7 +1041,7 @@ pub fn bench_kvsall_throughput(
             let arm = if t == 1 {
                 None // the 1-thread baseline was already run above
             } else {
-                Some(run_train_arm(&bench_ds, &train, dim, seed, GradPath::Blocked, t))
+                Some(run_train_arm(&bench_ds, &train, dim, seed, t))
             };
             let arm = arm.as_ref().unwrap_or(&base);
             let parity = bits_equal(&arm.entities, &base.entities)
@@ -1197,7 +1155,6 @@ pub fn bench_block_term_throughput(
         &bench_ds,
         &train,
         block_term_arm_model(&bench_ds, dim, seed),
-        GradPath::Blocked,
         1,
     );
     let rates = KvRates::of(&base, ne);
@@ -1214,7 +1171,6 @@ pub fn bench_block_term_throughput(
                     &bench_ds,
                     &train,
                     block_term_arm_model(&bench_ds, dim, seed),
-                    GradPath::Blocked,
                     t,
                 ))
             };
@@ -2235,29 +2191,21 @@ mod tests {
     }
 
     #[test]
-    fn bench_train_throughput_asserts_identity_and_reports_both_arms() {
+    fn bench_train_throughput_asserts_thread_parity_and_reports_the_arm() {
         let ds = SynthWnConfig::at_scale(SynthWnScale::Tiny, 4).generate();
         let mut proto = quick_protocol();
         proto.budget = 16;
-        // The call itself asserts bit-identical final parameters — across
-        // paths and across the 1/3-thread sweep; it would panic here if
-        // either contract broke.
+        // The call itself asserts bit-identical final parameters across
+        // the 1/3-thread sweep; it would panic here if that broke.
         let report = bench_train_throughput(&ds, &proto, 0, 2, &[1, 3]);
         assert_eq!(report.get("epochs").and_then(JsonValue::as_usize), Some(2));
-        for arm in ["legacy_hashmap", "blocked_flat"] {
-            let a = report.get(arm).unwrap_or_else(|| panic!("missing {arm}"));
-            assert_eq!(a.get("epochs").and_then(JsonValue::as_usize), Some(2));
-            assert!(a.get("triples_per_sec_grad").and_then(JsonValue::as_f64).unwrap() > 0.0);
-            let phases = a.get("phase_secs").expect("phase_secs");
-            for p in PHASES {
-                assert!(phases.get(p).is_some(), "missing phase {p} in {arm}");
-            }
+        let a = report.get("blocked_flat").expect("missing blocked_flat");
+        assert_eq!(a.get("epochs").and_then(JsonValue::as_usize), Some(2));
+        assert!(a.get("triples_per_sec_grad").and_then(JsonValue::as_f64).unwrap() > 0.0);
+        let phases = a.get("phase_secs").expect("phase_secs");
+        for p in PHASES {
+            assert!(phases.get(p).is_some(), "missing phase {p}");
         }
-        assert!(report.get("speedup").and_then(JsonValue::as_f64).unwrap() > 0.0);
-        assert_eq!(
-            report.get("final_params_bitwise_identical"),
-            Some(&JsonValue::Bool(true))
-        );
         let scaling = report
             .get("thread_scaling")
             .and_then(JsonValue::as_arr)

@@ -1,8 +1,9 @@
 //! A tiny dependency-free argument parser for the `mei` CLI.
 //!
 //! Flags are `--name value` pairs after a subcommand; the parser collects
-//! them into a map with typed accessors and reports unknown or valueless
-//! flags as errors instead of panicking.
+//! them into a map with typed accessors and reports valueless flags — and,
+//! through [`Args::reject_unknown`], flags the subcommand does not accept —
+//! as errors instead of panicking.
 
 use std::collections::HashMap;
 
@@ -19,6 +20,8 @@ pub struct Args {
 pub enum ArgsError {
     /// No subcommand given.
     MissingCommand,
+    /// The subcommand is not one `mei` has.
+    UnknownCommand(String),
     /// `--flag` appeared with no following value.
     MissingValue(String),
     /// A positional argument appeared where a flag was expected.
@@ -34,18 +37,22 @@ pub enum ArgsError {
     },
     /// A required flag is absent.
     MissingFlag(&'static str),
+    /// A flag the subcommand does not accept (a typo or a retired flag).
+    UnknownFlag(String),
 }
 
 impl std::fmt::Display for ArgsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArgsError::MissingCommand => write!(f, "missing subcommand"),
+            ArgsError::UnknownCommand(name) => write!(f, "unknown subcommand {name:?}"),
             ArgsError::MissingValue(flag) => write!(f, "flag {flag} needs a value"),
             ArgsError::UnexpectedPositional(a) => write!(f, "unexpected argument: {a}"),
             ArgsError::BadValue { flag, value, expected } => {
                 write!(f, "flag {flag}: expected {expected}, got {value:?}")
             }
             ArgsError::MissingFlag(flag) => write!(f, "required flag --{flag} is missing"),
+            ArgsError::UnknownFlag(flag) => write!(f, "unknown flag --{flag}"),
         }
     }
 }
@@ -67,6 +74,16 @@ impl Args {
             }
         }
         Ok(Self { command, flags })
+    }
+
+    /// Fails on a flag outside `accepted` (the lexically first, when
+    /// there are several), so a mistyped or retired flag stops the
+    /// command instead of being silently ignored.
+    pub fn reject_unknown(&self, accepted: &[&str]) -> Result<(), ArgsError> {
+        match self.flags.keys().filter(|k| !accepted.contains(&k.as_str())).min() {
+            Some(flag) => Err(ArgsError::UnknownFlag(flag.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Raw string flag.
@@ -128,6 +145,9 @@ mod tests {
         let a = parse(&["x", "--dim", "abc"]).unwrap();
         assert!(matches!(a.get_parsed("dim", 1usize), Err(ArgsError::BadValue { .. })));
         assert!(matches!(a.require("missing"), Err(ArgsError::MissingFlag("missing"))));
+        let a = parse(&["x", "--epoch", "5", "--dim", "8", "--bogus", "1"]).unwrap();
+        assert_eq!(a.reject_unknown(&["dim", "epochs"]), Err(ArgsError::UnknownFlag("bogus".into())));
+        assert_eq!(a.reject_unknown(&["dim", "epoch", "bogus"]), Ok(()));
     }
 
     #[test]
@@ -135,5 +155,6 @@ mod tests {
         let e = ArgsError::BadValue { flag: "--dim".into(), value: "x".into(), expected: "usize" };
         assert!(e.to_string().contains("--dim"));
         assert!(ArgsError::MissingFlag("out").to_string().contains("--out"));
+        assert_eq!(ArgsError::UnknownFlag("epoch".into()).to_string(), "unknown flag --epoch");
     }
 }

@@ -27,12 +27,12 @@ subcommands:
            [--scale tiny|small|full] [--seed N]
   stats    --dataset DIR [--order hrt|htr]
   train    --dataset DIR --out model.bin [--model NAME] [--dim N] [--epochs N]
-           [--lr F] [--batch N] [--seed N] [--sampling uniform|bern|kvsall]
+           [--lr F] [--l2 F] [--batch N] [--seed N] [--sampling uniform|bern|kvsall]
            [--loss logistic|softmax-ce] [--label-smooth F] [--quiet true]
            [--lr-decay F] [--lr-decay-mode checkpoint|epoch]
            [--eval-every N] [--metrics-out run.jsonl] [--log-every N]
            [--checkpoint train.ckpt] [--checkpoint-every N] [--resume train.ckpt]
-           [--grad-path legacy|blocked] [--threads N]
+           [--threads N]
            [--bt-k K --bt-ce CE --bt-cr CR [--bt-init F]]   (block-term MEI)
            [--dropout F] [--input-dropout F] [--batch-norm true]  (kvsall only)
   eval     --dataset DIR --model-file model.bin [--split test|valid]
@@ -51,8 +51,6 @@ run `mei models` for the preset names accepted by --model.
 `mei serve` answers newline-delimited JSON over TCP; see DESIGN.md §8.
 `mei train --resume` continues a crashed run bitwise-identically from a
 --checkpoint file; see DESIGN.md §9.
-`mei train --grad-path` selects the gradient machinery (default blocked);
-both paths are bit-identical — see DESIGN.md §10.
 `mei train --threads` caps the training worker pool (default: all cores);
 any value produces bit-identical results — see DESIGN.md §11.
 `mei train --sampling kvsall` scores each batch group against all entities
@@ -73,6 +71,65 @@ norm's running statistics automatically — see DESIGN.md §17.
 WN18RR/FB15k-237-shaped benchmarks (--scale is ignored for these).";
 
 type CmdResult = Result<(), Box<dyn Error>>;
+
+/// One `mei` subcommand: the flags (without `--`) it accepts and its
+/// handler. Every subcommand that loads a dataset also takes `--order`.
+pub struct Subcommand {
+    /// The name given on the command line.
+    pub name: &'static str,
+    /// Accepted flags; any other flag is a usage error.
+    pub flags: &'static [&'static str],
+    /// Runs the subcommand.
+    pub run: fn(&Args) -> CmdResult,
+}
+
+/// Every subcommand, in `USAGE` order.
+pub const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand { name: "generate", flags: &["out", "kind", "scale", "seed"], run: generate },
+    Subcommand { name: "stats", flags: &["dataset", "order"], run: stats },
+    Subcommand {
+        name: "train",
+        flags: &[
+            "dataset", "order", "out", "model", "dim", "epochs", "lr", "l2", "batch", "seed",
+            "sampling", "loss", "label-smooth", "quiet", "lr-decay", "lr-decay-mode",
+            "eval-every", "metrics-out", "log-every", "checkpoint", "checkpoint-every", "resume",
+            "threads", "bt-k", "bt-ce", "bt-cr", "bt-init", "dropout", "input-dropout",
+            "batch-norm",
+        ],
+        run: train,
+    },
+    Subcommand {
+        name: "eval",
+        flags: &[
+            "dataset", "order", "model-file", "split", "categories", "classification",
+            "metrics-out",
+        ],
+        run: eval,
+    },
+    Subcommand {
+        name: "predict",
+        flags: &["dataset", "order", "model-file", "relation", "topk", "head", "tail"],
+        run: predict,
+    },
+    Subcommand {
+        name: "serve",
+        flags: &[
+            "dataset", "order", "model-file", "addr", "workers", "max-batch", "cache-shards",
+            "cache-capacity", "cache", "max-queue", "read-timeout-ms", "write-timeout-ms",
+            "max-line-bytes", "metrics-out", "screen", "screen-threads", "precompute-hot",
+        ],
+        run: serve,
+    },
+    Subcommand { name: "export", flags: &["dataset", "order", "model-file", "out"], run: export },
+    Subcommand { name: "models", flags: &[], run: models },
+    Subcommand { name: "help", flags: &[], run: help },
+];
+
+/// The subcommand called `name` (`--help` and `-h` are `help`).
+pub fn subcommand(name: &str) -> Option<&'static Subcommand> {
+    let name = if matches!(name, "--help" | "-h") { "help" } else { name };
+    SUBCOMMANDS.iter().find(|c| c.name == name)
+}
 
 fn column_order(args: &Args) -> Result<ColumnOrder, Box<dyn Error>> {
     match args.get("order").unwrap_or("hrt") {
@@ -95,8 +152,14 @@ fn preset_by_name(name: &str) -> Option<WeightPreset> {
     })
 }
 
+/// `mei help`.
+fn help(_args: &Args) -> CmdResult {
+    println!("{USAGE}");
+    Ok(())
+}
+
 /// `mei models`.
-pub fn models() -> CmdResult {
+fn models(_args: &Args) -> CmdResult {
     println!("{:<34} {:>3} {:>6}", "preset", "n", "terms");
     for p in WeightPreset::all() {
         println!("{:<34} {:>3} {:>6}", p.name(), p.n(), p.weight_vector().terms().len());
@@ -105,7 +168,7 @@ pub fn models() -> CmdResult {
 }
 
 /// `mei generate`.
-pub fn generate(args: &Args) -> CmdResult {
+fn generate(args: &Args) -> CmdResult {
     use mei_datagen::{RecsysConfig, SynthWnConfig, SynthWnScale};
     let out = args.require("out")?;
     let seed: u64 = args.get_parsed("seed", 0)?;
@@ -138,7 +201,7 @@ pub fn generate(args: &Args) -> CmdResult {
 }
 
 /// `mei stats`.
-pub fn stats(args: &Args) -> CmdResult {
+fn stats(args: &Args) -> CmdResult {
     let ds = load_dataset(args)?;
     println!("{}", ds.stats());
     println!("test-train inverse leakage: {:.3}", ds.test_inverse_leakage());
@@ -173,7 +236,7 @@ pub fn stats(args: &Args) -> CmdResult {
 }
 
 /// `mei train`.
-pub fn train(args: &Args) -> CmdResult {
+fn train(args: &Args) -> CmdResult {
     let ds = load_dataset(args)?;
     let out = args.require("out")?;
     let model_name = args.get("model").unwrap_or("complex");
@@ -265,14 +328,6 @@ pub fn train(args: &Args) -> CmdResult {
     if checkpoint_every > 0 && checkpoint_path.is_none() {
         return Err("--checkpoint-every needs --checkpoint PATH".into());
     }
-    // Both gradient paths are bit-identical (DESIGN.md §10); the flag
-    // exists for benchmarking and as an escape hatch.
-    let grad_path: mei_core::GradPath = args
-        .get("grad-path")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| format!("bad --grad-path: {e}"))?
-        .unwrap_or_default();
     let config = TrainConfig {
         max_epochs: args.get_parsed("epochs", 500)?,
         batch_size: args.get_parsed("batch", 1024)?,
@@ -288,7 +343,6 @@ pub fn train(args: &Args) -> CmdResult {
         verbose: !args.get_parsed("quiet", false)?,
         checkpoint_every,
         checkpoint_path,
-        grad_path,
         dropout,
         input_dropout,
         batch_norm,
@@ -380,7 +434,7 @@ pub fn train(args: &Args) -> CmdResult {
 }
 
 /// `mei eval`.
-pub fn eval(args: &Args) -> CmdResult {
+fn eval(args: &Args) -> CmdResult {
     let ds = load_dataset(args)?;
     let model = load_model(args.require("model-file")?)?;
     if model.config().num_entities != ds.num_entities() {
@@ -452,7 +506,7 @@ pub fn eval(args: &Args) -> CmdResult {
 }
 
 /// `mei predict`.
-pub fn predict(args: &Args) -> CmdResult {
+fn predict(args: &Args) -> CmdResult {
     let ds = load_dataset(args)?;
     let model = load_model(args.require("model-file")?)?;
     let (side, anchor_name) = match (args.get("head"), args.get("tail")) {
@@ -489,7 +543,7 @@ pub fn predict(args: &Args) -> CmdResult {
 }
 
 /// `mei serve`.
-pub fn serve(args: &Args) -> CmdResult {
+fn serve(args: &Args) -> CmdResult {
     use mei_serve::{Engine, ServeConfig, Server, ServerConfig, Snapshot};
     use std::time::Duration;
 
@@ -569,7 +623,7 @@ pub fn serve(args: &Args) -> CmdResult {
 }
 
 /// `mei export`.
-pub fn export(args: &Args) -> CmdResult {
+fn export(args: &Args) -> CmdResult {
     let ds = load_dataset(args)?;
     let model = load_model(args.require("model-file")?)?;
     let out = args.require("out")?;
@@ -607,5 +661,37 @@ mod tests {
     #[test]
     fn cp_resolves_to_cp_not_cph() {
         assert_eq!(preset_by_name("cp"), Some(WeightPreset::Cp));
+    }
+
+    /// `USAGE` documents every subcommand but `help` with exactly the
+    /// flags it accepts (`--order` comes with `--dataset`).
+    #[test]
+    fn usage_documents_exactly_the_accepted_flags() {
+        let block = USAGE.split("subcommands:\n").nth(1).unwrap().split("\n\n").next().unwrap();
+        let mut documented: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in block.lines() {
+            if !line.starts_with("   ") {
+                documented.push((line.split_whitespace().next().unwrap(), Vec::new()));
+            }
+            let flags = &mut documented.last_mut().unwrap().1;
+            flags.extend(
+                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter_map(|w| w.strip_prefix("--")),
+            );
+        }
+        let names: Vec<&str> = documented.iter().map(|(name, _)| *name).collect();
+        let table: Vec<&str> =
+            SUBCOMMANDS.iter().map(|c| c.name).filter(|&name| name != "help").collect();
+        assert_eq!(names, table);
+        for (name, mut flags) in documented {
+            if flags.contains(&"dataset") {
+                flags.push("order");
+            }
+            flags.sort_unstable();
+            flags.dedup();
+            let mut accepted = subcommand(name).unwrap().flags.to_vec();
+            accepted.sort_unstable();
+            assert_eq!(flags, accepted, "{name}");
+        }
     }
 }

@@ -20,37 +20,23 @@
 mod args;
 mod commands;
 
-use args::Args;
+use args::{Args, ArgsError};
 
 fn main() {
-    let parsed = Args::parse(std::env::args().skip(1));
-    let result = match parsed {
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", commands::USAGE);
-            std::process::exit(2);
-        }
-        Ok(args) => match args.command.as_str() {
-            "generate" => commands::generate(&args),
-            "stats" => commands::stats(&args),
-            "train" => commands::train(&args),
-            "eval" => commands::eval(&args),
-            "predict" => commands::predict(&args),
-            "serve" => commands::serve(&args),
-            "export" => commands::export(&args),
-            "models" => commands::models(),
-            "help" | "--help" | "-h" => {
-                println!("{}", commands::USAGE);
-                Ok(())
-            }
-            other => {
-                eprintln!("error: unknown subcommand {other:?}\n");
-                eprintln!("{}", commands::USAGE);
-                std::process::exit(2);
-            }
-        },
-    };
-    if let Err(e) = result {
+    // An unknown subcommand, or a flag the subcommand does not accept, is
+    // a usage error like a malformed command line.
+    let parsed = Args::parse(std::env::args().skip(1)).and_then(|args| {
+        let cmd = commands::subcommand(&args.command)
+            .ok_or_else(|| ArgsError::UnknownCommand(args.command.clone()))?;
+        args.reject_unknown(cmd.flags)?;
+        Ok((cmd, args))
+    });
+    let (cmd, args) = parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}\n");
+        eprintln!("{}", commands::USAGE);
+        std::process::exit(2);
+    });
+    if let Err(e) = (cmd.run)(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -25,9 +25,11 @@ fn workdir(tag: &str) -> PathBuf {
 
 #[test]
 fn help_and_models_commands() {
-    let help = mei(&["help"]);
-    assert!(help.status.success());
-    assert!(stdout(&help).contains("subcommands:"));
+    for alias in ["help", "--help", "-h"] {
+        let help = mei(&[alias]);
+        assert!(help.status.success(), "{alias}");
+        assert!(stdout(&help).contains("subcommands:"), "{alias}");
+    }
 
     let models = mei(&["models"]);
     assert!(models.status.success());
@@ -50,6 +52,32 @@ fn missing_required_flag_is_reported() {
     let o = mei(&["train", "--dataset", "/nonexistent"]);
     assert!(!o.status.success());
     assert!(stderr(&o).contains("--out") || stderr(&o).contains("I/O error"));
+}
+
+/// A mistyped flag or one the CLI no longer has fails with usage before
+/// any work starts, instead of being ignored (`--epoch 5` would otherwise
+/// train for the default number of epochs).
+#[test]
+fn unknown_and_retired_flags_are_rejected() {
+    let dir = workdir("flags");
+    let data = dir.join("data");
+    let data_s = data.to_str().unwrap();
+    let gen = mei(&["generate", "--out", data_s, "--scale", "tiny", "--grad-path", "legacy", "--bogus-flag", "7"]);
+    assert_eq!(gen.status.code(), Some(2), "stderr: {}", stderr(&gen));
+    assert!(stderr(&gen).contains("unknown flag --bogus-flag"), "stderr: {}", stderr(&gen));
+    assert!(stderr(&gen).contains("subcommands:"));
+    assert!(!data.exists(), "a rejected command must not write its output");
+
+    assert!(mei(&["generate", "--out", data_s, "--scale", "tiny", "--seed", "5"]).status.success());
+    let model = dir.join("m.bin");
+    let model_s = model.to_str().unwrap();
+    for (flag, value) in [("--grad-path", "legacy"), ("--epoch", "5")] {
+        let o = mei(&["train", "--dataset", data_s, "--out", model_s, "--dim", "4", flag, value]);
+        assert_eq!(o.status.code(), Some(2), "{flag}: stderr: {}", stderr(&o));
+        assert!(stderr(&o).contains(&format!("unknown flag {flag}")), "stderr: {}", stderr(&o));
+        assert!(!model.exists(), "{flag}: a rejected train must not save a model");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

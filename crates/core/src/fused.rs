@@ -1,13 +1,13 @@
-//! Fused optimizer-step + L2-projection pass over the blocked path's
+//! Fused optimizer-step + L2-projection pass over the workspace's
 //! gradient slabs.
 //!
-//! The trainer's sequential tail walked every touched row twice: once to
-//! apply the optimizer update, once to re-project entities onto the unit
-//! sphere. Both passes stream the same randomly indexed embedding rows
-//! through memory, so fusing them halves the tail's memory traffic — and
-//! because every touched row is independent of every other (the blocked
-//! path's key lists are slot-interned, each row appears exactly once),
-//! the fused pass can also run rows on multiple workers.
+//! A two-pass tail walks every touched row twice: once to apply the
+//! optimizer update, once to re-project entities onto the unit sphere.
+//! Both passes stream the same randomly indexed embedding rows through
+//! memory, so fusing them halves the tail's memory traffic — and because
+//! every touched row is independent of every other (the workspace's key
+//! lists are slot-interned, each row appears exactly once), the fused
+//! pass can also run rows on multiple workers.
 //!
 //! # Why the fusion and the parallelism are bit-exact
 //!
@@ -20,9 +20,8 @@
 //! two-pass order. The per-row math itself is [`mei_optim::StepState`]
 //! (the code `Optimizer::update` runs) and the same
 //! [`mei_math::normalize_l2`] call `EmbeddingTable::normalize_item`
-//! makes. The legacy grad path keeps the original two-pass trainer code,
-//! so the cross-path parity suite is the system-level proof that this
-//! pass matches the reference bit-for-bit.
+//! makes. This module's tests run the two-pass sequence as the reference
+//! and compare both passes bit for bit.
 
 use mei_math::normalize_l2;
 use mei_optim::Optimizer;
@@ -73,14 +72,15 @@ pub(crate) fn shard_bounds(len: usize, i: usize, n: usize) -> (usize, usize) {
 
 /// Applies the optimizer step to every touched row and (optionally) the
 /// unit-sphere projection to every touched entity row, in one pass over
-/// the blocked workspace's slabs, sharded across up to `threads` workers.
+/// the workspace's slabs, sharded across up to `threads` workers.
 ///
 /// `ent_params` is the entity table's size in the optimizer's flat
 /// parameter space (relation offsets start there). The caller must have
 /// called `step_begin` on `optimizer` for this step already.
 ///
 /// # Panics
-/// Panics if `workspace` was not computed by the blocked path.
+/// Panics if `workspace` was last computed by
+/// [`GradWorkspace::compute_kvsall`].
 pub(crate) fn fused_step_project(
     model: &mut MultiEmbedModel,
     workspace: &GradWorkspace,
@@ -91,7 +91,7 @@ pub(crate) fn fused_step_project(
 ) {
     let parts = workspace
         .blocked_parts()
-        .expect("fused step/project requires the blocked grad path");
+        .expect("fused step/project requires a negative-sampling workspace");
     let dim = model.config().dim;
     let n_comp = parts.ent_row_len.checked_div(dim).unwrap_or(0);
     let n_ent = parts.ent_keys.len();
@@ -227,7 +227,7 @@ pub(crate) fn fused_step_project_kvsall(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grads::{GradPath, RowKey};
+    use crate::grads::{KvRegConfig, RowKey};
     use crate::loss::Label;
     use crate::trainer::LossKind;
     use crate::weights::WeightPreset;
@@ -274,11 +274,11 @@ mod tests {
         let batch = toy_batch();
         for kind in [OptimizerKind::Sgd, OptimizerKind::Adam] {
             for unit_norm in [false, true] {
-                // Reference: the legacy-trainer two-pass tail.
+                // Reference: the two-pass tail.
                 let mut ref_model = toy_model(21);
                 let ent_params = ref_model.entities.len();
                 let state_len = ent_params + ref_model.relations.len();
-                let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
+                let mut ws = GradWorkspace::with_threads(1);
                 ws.compute(&ref_model, &batch, 0.01, LossKind::Logistic, 2, None);
                 let mut ref_opt = kind.build(state_len, 0.05);
                 ref_opt.step_begin();
@@ -302,7 +302,7 @@ mod tests {
 
                 for threads in [1usize, 3, 8] {
                     let mut model = toy_model(21);
-                    let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
+                    let mut ws = GradWorkspace::with_threads(1);
                     ws.compute(&model, &batch, 0.01, LossKind::Logistic, 2, None);
                     let mut opt = kind.build(state_len, 0.05);
                     opt.step_begin();
@@ -357,8 +357,8 @@ mod tests {
                 let mut ref_model = toy_model(29);
                 let ent_params = ref_model.entities.len();
                 let state_len = ent_params + ref_model.relations.len();
-                let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
-                ws.compute_kvsall(&ref_model, &queries, &targets, 0.01, 0.1, None);
+                let mut ws = GradWorkspace::with_threads(1);
+                ws.compute_kvsall(&ref_model, &queries, &targets, 0.01, 0.1, &KvRegConfig::default(), None);
                 let mut ref_opt = kind.build(state_len, 0.05);
                 ref_opt.step_begin();
                 ws.for_each_row(|row, grad| match row {
@@ -381,8 +381,8 @@ mod tests {
 
                 for threads in [1usize, 3, 8] {
                     let mut model = toy_model(29);
-                    let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
-                    ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, None);
+                    let mut ws = GradWorkspace::with_threads(1);
+                    ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, &KvRegConfig::default(), None);
                     let mut opt = kind.build(state_len, 0.05);
                     opt.step_begin();
                     fused_step_project_kvsall(

@@ -1,60 +1,46 @@
-//! Batch gradient computation for the trainer, in two interchangeable
-//! implementations that produce bit-identical results.
+//! Batch gradient computation for the trainer: one path per sampling
+//! regime.
 //!
-//! The **legacy** path scores each example through its anchor context and
-//! accumulates gradients into per-chunk `HashMap<RowKey, Vec<f32>>` maps
-//! (pooled across batches so the allocator is not churned). The
-//! **blocked** path batches each positive with its corrupted negatives:
-//! each group builds one anchor context per distinct (side, anchor,
-//! relation), scores the whole group through one
-//! [`mei_math::kernels::dot_gather`] call while the contexts are still in
-//! L1, and scatters gradients into flat pre-indexed slabs. On a single
-//! chunk the merge is a zero-copy buffer swap; across rayon chunks it is
-//! a deterministic parallel slot-scatter.
+//! **Negative sampling** ([`GradWorkspace::compute`]) batches each
+//! positive with its corrupted negatives: each group builds one anchor
+//! context per distinct (side, anchor, relation), scores the whole group
+//! through one [`mei_math::kernels::dot_gather`] call while the contexts
+//! are still in L1, and scatters gradients into flat pre-indexed slabs.
+//! On a single chunk the merge is a zero-copy buffer swap; across chunks
+//! it is a deterministic parallel slot-scatter.
+//!
+//! **k-vs-all** ([`GradWorkspace::compute_kvsall`]) scores each
+//! [`KvQuery`] against *every* entity with one cache-blocked
+//! [`mei_math::kernels::gemm_nt`], takes the softmax–cross-entropy
+//! residual in place, and decomposes the backward into two GEMM-shaped
+//! passes (residual × entity table → per-query context gradients;
+//! residualᵀ × contexts → the dense entity-table gradient) plus the same
+//! sparse scatter core as the sampled path for anchor/relation/ω rows.
+//! The regularizers of [`KvRegConfig`] run only when switched on (see
+//! DESIGN.md §12 for the decomposition and determinism argument).
 //!
 //! # Determinism contract
 //!
-//! Both paths drive the *same* per-example accumulation core
-//! (`accumulate_example`) over the same example stream, chunked at the
-//! same group-aligned boundaries, and merge per-chunk results in chunk
-//! order. Scores come from the shared `dot_inner` reduction
-//! ([`mei_math::kernels::dot_fast`] per example on the legacy path, one
-//! [`mei_math::kernels::dot_gather`] per group on the blocked path —
-//! bit-identical by the kernel contract). Every accumulator slot
-//! therefore sees the identical sequence of floating-point operations on
-//! either path, which is what lets the trainer switch paths without
-//! perturbing a single bit of the training trajectory. The cross-path
-//! regression suite (`tests/grad_parity.rs`) asserts this bytewise.
+//! Chunk boundaries are a pure function of the batch shape (a fixed
+//! `SCHEDULE_CHUNKS`-way split, never derived from the core count),
+//! workers drain a chunk queue into disjoint per-chunk scratch, and the
+//! merge combines chunks in chunk order regardless of which worker ran
+//! which chunk. `--threads N` is a speed knob only:
+//! `tests/parallel_parity.rs` and `tests/kvsall_parity.rs` assert N-thread
+//! training is byte-identical to 1-thread training, and
+//! `tests/golden_runs.rs` pins the training bytes across commits.
 //!
-//! The contract extends to thread count: chunk boundaries are a pure
-//! function of the batch shape (a fixed `SCHEDULE_CHUNKS`-way split,
-//! never derived from the core count), workers drain a chunk queue into
-//! disjoint per-chunk scratch, and the merge combines chunks in chunk
-//! order regardless of which worker ran which chunk. `--threads N` is a
-//! speed knob only; `tests/parallel_parity.rs` asserts N-thread training
-//! is byte-identical to 1-thread training.
-//!
-//! # k-vs-all path
-//!
-//! [`GradWorkspace::compute_kvsall`] is a third compute entry point for
-//! the full-softmax training regime: each [`KvQuery`] group is scored
-//! against *every* entity with one cache-blocked
-//! [`mei_math::kernels::gemm_nt`], the softmax–cross-entropy residual is
-//! taken in place, and the backward decomposes into two GEMM-shaped
-//! passes (residual × entity table → per-group context gradients;
-//! residualᵀ × contexts → the dense entity-table gradient) plus the same
-//! sparse scatter core as the blocked path for anchor/relation/ω rows.
-//! It shares the chunk schedule, scratch, and merge machinery above, so
-//! the same thread-count bit-identity contract holds (see DESIGN.md §12
-//! for the full decomposition and determinism argument).
+//! The sampled path's bytes equal those of a plain per-example reference —
+//! each example scored through its own context, gradients added into
+//! zeroed per-chunk rows, chunks merged in order — which this module's
+//! tests keep as an oracle (`grads/oracle.rs`) and compare bytewise.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use mei_eval::Side;
 use mei_kg::{EntityId, RelationId, SortedTargets, Triple};
 use mei_math::kernels::{
-    axpy_fast, dot_fast, dot_gather, gemm_nn_acc, gemm_nt, gemm_tn_acc, hadamard_axpy_fast,
+    axpy_fast, dot_gather, gemm_nn_acc, gemm_nt, gemm_tn_acc, hadamard_axpy_fast,
     hadamard_write_fast, scale_add_l2_fast, scale_write_l2_fast, trilinear_fast,
 };
 use mei_math::reg::{
@@ -68,6 +54,9 @@ use crate::loss::{logistic_loss, logistic_loss_grad, softmax_ce_residual, Label}
 use crate::model::MultiEmbedModel;
 use crate::trainer::LossKind;
 
+#[cfg(test)]
+mod oracle;
+
 /// Addresses one embedding row during gradient accumulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RowKey {
@@ -77,36 +66,17 @@ pub enum RowKey {
     Relation(usize),
 }
 
-/// Sparse per-row gradients keyed by embedding row.
-pub type RowGrads = HashMap<RowKey, Vec<f32>>;
-
-/// Which gradient machinery [`GradWorkspace`] drives.
+/// The gradient machinery [`crate::TrainConfig::grad_path`] names.
 ///
-/// Both paths are bit-identical in their results (see the module docs);
-/// the blocked path is substantially faster at realistic shapes and is
-/// the default. The legacy path is retained as the regression baseline
-/// and as an escape hatch (`--grad-path legacy` in the CLI).
+/// Negative sampling has one implementation, so this type has one value
+/// and selects nothing; it stays so that configurations naming it still
+/// build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GradPath {
-    /// Per-example scoring with pooled `HashMap` accumulation and a
-    /// sequential per-chunk merge.
-    Legacy,
     /// Gathered-GEMM forward over shared anchor contexts with flat
     /// slot-indexed gradient slabs and a parallel deterministic merge.
     #[default]
     Blocked,
-}
-
-impl std::str::FromStr for GradPath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "legacy" => Ok(Self::Legacy),
-            "blocked" => Ok(Self::Blocked),
-            other => Err(format!("unknown grad path '{other}' (expected 'legacy' or 'blocked')")),
-        }
-    }
 }
 
 /// Below this many merged floats the blocked merge runs inline: spawning
@@ -130,16 +100,15 @@ pub struct KvQuery {
     pub relation: RelationId,
 }
 
-/// Regularization knobs for the k-vs-all training path
-/// ([`GradWorkspace::compute_kvsall_reg`]).
+/// Regularization knobs for [`GradWorkspace::compute_kvsall`]; the
+/// default switches every regularizer off.
 ///
 /// All masks are **counter-based**: a mask bit is a pure function of
 /// `(mask_seed, global query index, stream)` through
 /// [`mei_math::reg::mask_stream_base`], so the forward and backward
 /// passes regenerate identical masks on any worker in any order — the
-/// thread-count bit-identity contract of the plain path carries over
-/// unchanged.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// thread-count bit-identity contract holds with every knob.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KvRegConfig {
     /// Dropout probability on the interaction context (after batch norm,
     /// before the score GEMM). `0.0` disables.
@@ -153,9 +122,18 @@ pub struct KvRegConfig {
     /// [`crate::model::InteractionNorm`].
     pub batch_norm: bool,
     /// Seed for this batch's dropout masks; the trainer draws one per
-    /// batch from the training RNG so masks differ across batches but
-    /// resume bitwise from checkpoints.
+    /// regularized batch from the training RNG so masks differ across
+    /// batches but resume bitwise from checkpoints.
     pub mask_seed: u64,
+}
+
+impl KvRegConfig {
+    /// Whether any regularizer is on. Only regularized batches draw a
+    /// mask seed in the trainer, and they scatter in their own order (see
+    /// [`GradWorkspace::compute_kvsall`]).
+    pub(crate) fn is_active(&self) -> bool {
+        self.dropout > 0.0 || self.input_dropout > 0.0 || self.batch_norm
+    }
 }
 
 /// Mask stream ids: one per masked tensor kind, so a query's context,
@@ -183,39 +161,8 @@ fn candidate_of(ex: Triple, side: Side) -> usize {
     }
 }
 
-/// `entry += coef·score_grad + l2_coef·params` — the loss gradient plus
-/// the per-triple L2 term of Eq. 16, fused into one pass.
-#[inline]
-fn accumulate_with_l2(entry: &mut [f32], score_grad: &[f32], coef: f32, l2_coef: f32, params: &[f32]) {
-    for i in 0..entry.len() {
-        entry[i] += coef * score_grad[i] + l2_coef * params[i];
-    }
-}
-
-/// `entry = 0.0 + (coef·score_grad + l2_coef·params)` — the exact op
-/// [`accumulate_with_l2`] performs against a freshly zeroed row, fused
-/// into a single store so a fresh row never needs a separate zero-fill
-/// pass. The explicit `0.0 +` preserves the `-0.0` semantics of
-/// zero-then-add (`0.0 + -0.0 == +0.0`), which keeps the blocked path
-/// bit-identical to the legacy one.
-#[inline]
-fn write_with_l2(entry: &mut [f32], score_grad: &[f32], coef: f32, l2_coef: f32, params: &[f32]) {
-    for i in 0..entry.len() {
-        entry[i] = 0.0 + (coef * score_grad[i] + l2_coef * params[i]);
-    }
-}
-
-/// `entry += l2_coef·params` — the L2 pull for rows whose loss gradient
-/// was accumulated term-by-term rather than from a context vector.
-#[inline]
-fn axpy_l2(entry: &mut [f32], l2_coef: f32, params: &[f32]) {
-    for i in 0..entry.len() {
-        entry[i] += l2_coef * params[i];
-    }
-}
-
 /// Best-effort prefetch of `len` floats starting at `table[start]`; a
-/// no-op off x86-64 or when the range is out of bounds. The blocked path
+/// no-op off x86-64 or when the range is out of bounds. The sampled path
 /// issues these one group ahead so the cold, randomly indexed entity rows
 /// are already in flight when the gather kernel asks for them.
 #[inline(always)]
@@ -239,167 +186,208 @@ fn prefetch_range(table: &[f32], start: usize, len: usize) {
     }
 }
 
-/// Destination for one chunk's accumulated gradients. The two paths
-/// differ only in storage; every floating-point operation happens inside
-/// the shared [`accumulate_example`] core. A sink may hand back a *fresh*
-/// row with unspecified contents — the core then either zero-fills it or
-/// overwrites every element with the zero-started value (see
-/// [`write_with_l2`]); both are bit-equal to accumulating into a zeroed
-/// row.
-trait GradSink {
-    /// Whether the core may route elementwise row updates through the
-    /// wide mei-math kernels ([`scale_add_l2_fast`] and friends). Those
-    /// kernels are bit-identical to the scalar loops per element, so this
-    /// is purely a speed knob: the legacy sink keeps the scalar reference
-    /// sequence, the blocked sink takes the wide one.
-    const FAST: bool;
-    /// The accumulator row for `key`, plus whether this is its first
-    /// touch of the batch (`true` means the contents are unspecified and
-    /// must be fully initialized before any read-modify-write).
-    fn row_mut(&mut self, key: RowKey, len: usize) -> (&mut [f32], bool);
-    /// The dense effective-ω gradient accumulator.
-    fn omega_mut(&mut self) -> &mut [f32];
-}
-
 /// Accumulates `coef · ∂S/∂θ` plus per-row L2 into `sink` for one
 /// example, given its anchor context `ctx` (which *is* `∂S/∂candidate`).
 ///
 /// The accumulation order — candidate row, anchor row, relation row, ω —
-/// is part of the cross-path bit-identity contract: a self-loop triple
-/// routes candidate and anchor into the same accumulator row, so both
-/// paths must interleave the writes identically.
-fn accumulate_example<S: GradSink>(
+/// is part of the bit-identity contract with the test oracle: a self-loop
+/// triple routes candidate and anchor into the same accumulator row.
+fn accumulate_example(
     model: &MultiEmbedModel,
     ex: Triple,
     side: Side,
     ctx: &[f32],
     coef: f32,
     l2_coef: f32,
-    sink: &mut S,
+    sink: &mut BlockedSink<'_>,
 ) {
-    let d = model.config().dim;
-    let ent_row_len = model.entities.row_len();
-    let rel_row_len = model.relations.row_len();
-    let h = model.entities.row(ex.head.idx());
-    let t = model.entities.row(ex.tail.idx());
-    let r = model.relations.row(ex.relation.idx());
-    let cand = candidate_of(ex, side);
-    let anchor = match side {
-        Side::Tail => ex.head.idx(),
-        Side::Head => ex.tail.idx(),
-    };
-
     // Candidate row: ∂S/∂cand = ctx, fused with its L2 pull. A fresh row
     // takes the single-pass write form instead of zero-fill-then-add.
-    {
-        let (entry, fresh) = sink.row_mut(RowKey::Entity(cand), ent_row_len);
-        match (fresh, S::FAST) {
-            (true, true) => scale_write_l2_fast(entry, ctx, coef, l2_coef, model.entities.row(cand)),
-            (true, false) => write_with_l2(entry, ctx, coef, l2_coef, model.entities.row(cand)),
-            (false, true) => scale_add_l2_fast(entry, ctx, coef, l2_coef, model.entities.row(cand)),
-            (false, false) => accumulate_with_l2(entry, ctx, coef, l2_coef, model.entities.row(cand)),
-        }
+    let cand = candidate_of(ex, side);
+    let (entry, fresh) = sink.row_mut(RowKey::Entity(cand), model.entities.row_len());
+    if fresh {
+        scale_write_l2_fast(entry, ctx, coef, l2_coef, model.entities.row(cand));
+    } else {
+        scale_add_l2_fast(entry, ctx, coef, l2_coef, model.entities.row(cand));
     }
+    let anchor = match side {
+        Side::Tail => ex.head,
+        Side::Head => ex.tail,
+    };
+    let operands = (
+        model.entities.row(ex.head.idx()),
+        model.entities.row(ex.tail.idx()),
+        model.relations.row(ex.relation.idx()),
+    );
+    accumulate_anchor_side(
+        model,
+        side,
+        anchor.idx(),
+        ex.relation.idx(),
+        operands,
+        coef,
+        l2_coef,
+        None,
+        sink,
+    );
+}
 
-    // Anchor row: one scaled Hadamard product per scoring term (same term
-    // walk as the context builders), then its L2 pull. On a fast sink a
-    // fresh row skips the zero-fill: each `d`-wide subslice's first term
-    // takes the write-form kernel, later terms accumulate, and subslices
-    // no term touches are zeroed before the L2 pull — all bit-equal to
-    // zero-fill-then-accumulate.
-    {
-        let (entry, fresh) = sink.row_mut(RowKey::Entity(anchor), ent_row_len);
-        let n_sub = ent_row_len / d;
-        // Bit `s` set ⇒ subslice `s` already holds data; `MAX` disables
-        // write-mode entirely (row not fresh, slow sink, or too many
-        // subslices for the mask).
-        let mut written: u64 =
-            if fresh && S::FAST && n_sub <= 64 { 0 } else { u64::MAX };
-        if fresh && written == u64::MAX {
-            entry.fill(0.0);
-        }
-        for &(i, j, k, w) in model.terms() {
-            let cw = coef * w;
-            if w == 0.0 {
-                continue;
-            }
-            let (sub, a_row, b_row) = match side {
-                // ∂S/∂h⁽ⁱ⁾ = Σ_{j,k} ω·t⁽ʲ⁾⊙r⁽ᵏ⁾
-                Side::Tail => (i, &t[j * d..(j + 1) * d], &r[k * d..(k + 1) * d]),
-                // ∂S/∂t⁽ʲ⁾ = Σ_{i,k} ω·h⁽ⁱ⁾⊙r⁽ᵏ⁾
-                Side::Head => (j, &h[i * d..(i + 1) * d], &r[k * d..(k + 1) * d]),
-            };
-            let out = &mut entry[sub * d..(sub + 1) * d];
-            if written & (1 << sub) == 0 {
-                written |= 1 << sub;
-                hadamard_write_fast(cw, a_row, b_row, out);
-            } else {
-                hadamard_axpy_fast(cw, a_row, b_row, out);
-            }
-        }
-        if written != u64::MAX {
-            for s in 0..n_sub {
-                if written & (1 << s) == 0 {
-                    entry[s * d..(s + 1) * d].fill(0.0);
-                }
-            }
-        }
-        if S::FAST {
-            axpy_fast(l2_coef, model.entities.row(anchor), entry);
-        } else {
-            axpy_l2(entry, l2_coef, model.entities.row(anchor));
-        }
-    }
+/// Where a regularized k-vs-all query stages its anchor and relation
+/// contributions, and the input-dropout masks that scale them (`None`
+/// when input dropout is off).
+struct Staging<'a> {
+    scratch: &'a mut Vec<f32>,
+    anchor_mask: Option<&'a [f32]>,
+    rel_mask: Option<&'a [f32]>,
+}
 
-    // Relation row: ∂S/∂r⁽ᵏ⁾ = Σ_{i,j} ω·h⁽ⁱ⁾⊙t⁽ʲ⁾, then its L2 pull.
-    // Same fresh-row write-mode scheme as the anchor row, keyed on `k`.
-    {
-        let (entry, fresh) = sink.row_mut(RowKey::Relation(ex.relation.idx()), rel_row_len);
-        let n_sub = rel_row_len / d;
-        let mut written: u64 =
-            if fresh && S::FAST && n_sub <= 64 { 0 } else { u64::MAX };
-        if fresh && written == u64::MAX {
-            entry.fill(0.0);
-        }
-        for &(i, j, k, w) in model.terms() {
-            let cw = coef * w;
-            if w == 0.0 {
-                continue;
-            }
-            let out = &mut entry[k * d..(k + 1) * d];
-            let (a_row, b_row) = (&h[i * d..(i + 1) * d], &t[j * d..(j + 1) * d]);
-            if written & (1 << k) == 0 {
-                written |= 1 << k;
-                hadamard_write_fast(cw, a_row, b_row, out);
-            } else {
-                hadamard_axpy_fast(cw, a_row, b_row, out);
-            }
-        }
-        if written != u64::MAX {
-            for s in 0..n_sub {
-                if written & (1 << s) == 0 {
-                    entry[s * d..(s + 1) * d].fill(0.0);
-                }
-            }
-        }
-        if S::FAST {
-            axpy_fast(l2_coef, r, entry);
-        } else {
-            axpy_l2(entry, l2_coef, r);
-        }
-    }
-
+/// Accumulates `coef · ∂S/∂θ` for the anchor row, the relation row and ω
+/// of one scored `(h, t, r)`, each row with its L2 pull on the model's
+/// own parameters.
+///
+/// On the sampled path `h`, `t` and `r` are the example's embedding rows.
+/// On the k-vs-all path the candidate slot holds the query's residual sum
+/// `Σ_e r_e·E_e` — the score is linear in the candidate — and the anchor
+/// and relation operands are the rows the forward consumed (their
+/// input-dropout views when that is on).
+///
+/// Without `staging` each term's contribution goes straight into the
+/// accumulator row, a fresh row's first term per subslice taking the
+/// write-form kernel. With `staging` the row's whole contribution is
+/// built in scratch, scaled by its input mask, then copied or added: an
+/// input mask must scale this query's contribution alone. The two orders
+/// round differently, so unregularized and regularized k-vs-all batches
+/// each keep their own (DESIGN.md §12).
+#[allow(clippy::too_many_arguments)]
+fn accumulate_anchor_side(
+    model: &MultiEmbedModel,
+    side: Side,
+    anchor: usize,
+    relation: usize,
+    (h, t, r): (&[f32], &[f32], &[f32]),
+    coef: f32,
+    l2_coef: f32,
+    mut staging: Option<Staging<'_>>,
+    sink: &mut BlockedSink<'_>,
+) {
+    let d = model.config().dim;
+    let sub = |c: usize| c * d..(c + 1) * d;
+    // Anchor row: ∂S/∂h⁽ⁱ⁾ = Σ_{j,k} ω·t⁽ʲ⁾⊙r⁽ᵏ⁾ on the tail side,
+    // ∂S/∂t⁽ʲ⁾ = Σ_{i,k} ω·h⁽ⁱ⁾⊙r⁽ᵏ⁾ on the head side.
+    accumulate_row(
+        model,
+        RowKey::Entity(anchor),
+        model.entities.row(anchor),
+        coef,
+        l2_coef,
+        |i, j, k| match side {
+            Side::Tail => (i, &t[sub(j)], &r[sub(k)]),
+            Side::Head => (j, &h[sub(i)], &r[sub(k)]),
+        },
+        staging.as_mut().map(|s| (&mut *s.scratch, s.anchor_mask)),
+        sink,
+    );
+    // Relation row: ∂S/∂r⁽ᵏ⁾ = Σ_{i,j} ω·h⁽ⁱ⁾⊙t⁽ʲ⁾.
+    accumulate_row(
+        model,
+        RowKey::Relation(relation),
+        model.relations.row(relation),
+        coef,
+        l2_coef,
+        |i, j, k| (k, &h[sub(i)], &t[sub(j)]),
+        staging.as_mut().map(|s| (&mut *s.scratch, s.rel_mask)),
+        sink,
+    );
     // ω: ∂S/∂ω_ijk = ⟨h⁽ⁱ⁾, t⁽ʲ⁾, r⁽ᵏ⁾⟩ over the full grid (when ω is
     // trainable, `model.terms()` enumerates every grid cell).
     if model.trainable_omega() {
         let n = model.config().n;
         let nr = model.omega().n_rel();
-        let omega = sink.omega_mut();
         for &(i, j, k, _) in model.terms() {
-            let tri = trilinear_fast(&h[i * d..(i + 1) * d], &t[j * d..(j + 1) * d], &r[k * d..(k + 1) * d]);
-            omega[(i * n + j) * nr + k] += coef * tri;
+            let tri = trilinear_fast(&h[sub(i)], &t[sub(j)], &r[sub(k)]);
+            sink.omega[(i * n + j) * nr + k] += coef * tri;
         }
     }
+}
+
+/// Adds `coef · Σ_terms ω·x⊙y` plus the L2 pull `l2_coef·params` into
+/// the accumulator row `key`. `term(i, j, k)` names the `d`-wide subslice
+/// grid cell `(i, j, k)` lands on and its operands `(x, y)`; `staging`
+/// picks the order (see [`accumulate_anchor_side`]).
+#[allow(clippy::too_many_arguments)]
+fn accumulate_row<'a>(
+    model: &MultiEmbedModel,
+    key: RowKey,
+    params: &[f32],
+    coef: f32,
+    l2_coef: f32,
+    term: impl Fn(usize, usize, usize) -> (usize, &'a [f32], &'a [f32]),
+    staging: Option<(&mut Vec<f32>, Option<&[f32]>)>,
+    sink: &mut BlockedSink<'_>,
+) {
+    let d = model.config().dim;
+    let len = params.len();
+    let n_sub = len / d;
+    let Some((scratch, mask)) = staging else {
+        let (entry, fresh) = sink.row_mut(key, len);
+        // Bit `s` set ⇒ subslice `s` already holds data; `MAX` disables
+        // write-mode (row not fresh, or too many subslices for the mask).
+        // A fresh row skips the zero-fill: each subslice's first term
+        // takes the write-form kernel, later terms accumulate, and
+        // subslices no term touches are zeroed before the L2 pull — all
+        // bit-equal to zero-fill-then-accumulate.
+        let mut written: u64 = if fresh && n_sub <= 64 { 0 } else { u64::MAX };
+        if fresh && written == u64::MAX {
+            entry.fill(0.0);
+        }
+        for &(i, j, k, w) in model.terms() {
+            let cw = coef * w;
+            if w == 0.0 {
+                continue;
+            }
+            let (s, x, y) = term(i, j, k);
+            let out = &mut entry[s * d..(s + 1) * d];
+            if written & (1 << s) == 0 {
+                written |= 1 << s;
+                hadamard_write_fast(cw, x, y, out);
+            } else {
+                hadamard_axpy_fast(cw, x, y, out);
+            }
+        }
+        if written != u64::MAX {
+            for s in 0..n_sub {
+                if written & (1 << s) == 0 {
+                    entry[s * d..(s + 1) * d].fill(0.0);
+                }
+            }
+        }
+        axpy_fast(l2_coef, params, entry);
+        return;
+    };
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
+    }
+    let contrib = &mut scratch[..len];
+    contrib.fill(0.0);
+    for &(i, j, k, w) in model.terms() {
+        if w == 0.0 {
+            continue;
+        }
+        let (s, x, y) = term(i, j, k);
+        hadamard_axpy_fast(coef * w, x, y, &mut contrib[s * d..(s + 1) * d]);
+    }
+    if let Some(mask) = mask {
+        apply_mask_in_place(contrib, mask);
+    }
+    let (entry, fresh) = sink.row_mut(key, len);
+    if fresh {
+        entry.copy_from_slice(contrib);
+    } else {
+        for (acc, g) in entry.iter_mut().zip(contrib.iter()) {
+            *acc += *g;
+        }
+    }
+    axpy_fast(l2_coef, params, entry);
 }
 
 /// Number of group-aligned chunks a batch is split into, independent of
@@ -437,49 +425,19 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `work` over `(item chunk, scratch chunk)` pairs on a pool of
-/// at most `threads` workers draining a shared queue. Items are labeled
-/// examples on the negative-sampling paths and [`KvQuery`] groups on the
-/// k-vs-all path.
+/// Runs `work(items, scratch, offset)` over `(item chunk, scratch chunk)`
+/// pairs on a pool of at most `threads` workers draining a shared queue.
+/// Items are labeled examples on the sampled path and [`KvQuery`] groups
+/// on the k-vs-all path; `offset` is the chunk's first item index in the
+/// batch (`chunk index × chunk`), which keys k-vs-all dropout masks by
+/// batch-wide query index.
 ///
 /// Which worker runs which chunk is invisible to the result: every chunk
-/// writes only its own scratch, and the caller merges scratch in chunk
-/// order afterwards, so neither the worker count nor OS scheduling can
-/// reach the floating-point stream.
+/// writes only its own scratch, the offset is a pure function of the
+/// batch shape, and the caller merges scratch in chunk order afterwards,
+/// so neither the worker count nor OS scheduling can reach the
+/// floating-point stream.
 fn run_chunked<T: Sync, C: Send>(
-    items: &[T],
-    chunk: usize,
-    scratch: &mut [C],
-    threads: usize,
-    work: impl Fn(&[T], &mut C) + Sync,
-) {
-    let workers = threads.min(scratch.len());
-    if workers <= 1 {
-        for (it, c) in items.chunks(chunk).zip(scratch.iter_mut()) {
-            work(it, c);
-        }
-        return;
-    }
-    let queue = std::sync::Mutex::new(items.chunks(chunk).zip(scratch.iter_mut()));
-    rayon::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let next = queue.lock().unwrap().next();
-                match next {
-                    Some((ex, c)) => work(ex, c),
-                    None => break,
-                }
-            });
-        }
-    });
-}
-
-/// [`run_chunked`] variant that also hands each chunk its global item
-/// offset (`chunk index × chunk`), which the regularized k-vs-all path
-/// needs to key counter-based dropout masks by batch-wide query index —
-/// the offset is a pure function of the batch shape, never of which
-/// worker runs the chunk.
-fn run_chunked_idx<T: Sync, C: Send>(
     items: &[T],
     chunk: usize,
     scratch: &mut [C],
@@ -508,128 +466,7 @@ fn run_chunked_idx<T: Sync, C: Send>(
 }
 
 // ---------------------------------------------------------------------------
-// Legacy path: pooled HashMap accumulation.
-// ---------------------------------------------------------------------------
-
-/// Per-chunk scratch for the legacy path, retained across batches so maps
-/// keep their capacity and gradient rows are recycled through freelists
-/// instead of reallocated.
-#[derive(Default)]
-struct LegacyChunk {
-    rows: RowGrads,
-    omega: Vec<f32>,
-    loss: f64,
-    ctx_a: Vec<f32>,
-    ctx_b: Vec<f32>,
-    ent_free: Vec<Vec<f32>>,
-    rel_free: Vec<Vec<f32>>,
-}
-
-struct LegacySink<'a> {
-    rows: &'a mut RowGrads,
-    omega: &'a mut Vec<f32>,
-    ent_free: &'a mut Vec<Vec<f32>>,
-    rel_free: &'a mut Vec<Vec<f32>>,
-}
-
-impl GradSink for LegacySink<'_> {
-    /// The legacy path is the scalar reference sequence the blocked
-    /// path's wide kernels are validated against.
-    const FAST: bool = false;
-
-    fn row_mut(&mut self, key: RowKey, len: usize) -> (&mut [f32], bool) {
-        let free = match key {
-            RowKey::Entity(_) => &mut *self.ent_free,
-            RowKey::Relation(_) => &mut *self.rel_free,
-        };
-        let row = self.rows.entry(key).or_insert_with(|| match free.pop() {
-            // `fill(0.0)` makes a recycled row bit-equal to a fresh one.
-            Some(mut v) if v.len() == len => {
-                v.fill(0.0);
-                v
-            }
-            _ => vec![0.0; len],
-        });
-        // Rows are pre-zeroed here, so the core never sees a fresh one —
-        // this is the reference zero-then-add sequence the blocked sink's
-        // fused first write must match bitwise.
-        (row, false)
-    }
-
-    fn omega_mut(&mut self) -> &mut [f32] {
-        self.omega
-    }
-}
-
-fn run_legacy_chunk(
-    model: &MultiEmbedModel,
-    chunk_examples: &[(Triple, Label)],
-    group_len: usize,
-    l2_coef: f32,
-    loss_kind: LossKind,
-    n3: usize,
-    c: &mut LegacyChunk,
-) {
-    let kdim = model.config().n * model.config().dim;
-    c.loss = 0.0;
-    if c.omega.len() == n3 {
-        c.omega.fill(0.0);
-    } else {
-        c.omega = vec![0.0; n3];
-    }
-    c.ctx_a.resize(kdim, 0.0);
-    c.ctx_b.resize(kdim, 0.0);
-
-    let LegacyChunk { rows, omega, loss, ctx_a, ctx_b, ent_free, rel_free } = c;
-    let mut sink = LegacySink { rows, omega, ent_free, rel_free };
-
-    match loss_kind {
-        LossKind::Logistic => {
-            for group in chunk_examples.chunks(group_len) {
-                let pos = group[0].0;
-                for &(ex, label) in group {
-                    let side = side_of(pos, ex);
-                    match side {
-                        Side::Tail => model.tail_context(ex.head, ex.relation, ctx_a),
-                        Side::Head => model.head_context(ex.tail, ex.relation, ctx_a),
-                    }
-                    let score = dot_fast(ctx_a, model.entities.row(candidate_of(ex, side)));
-                    *loss += f64::from(logistic_loss(score, label));
-                    let coef = logistic_loss_grad(score, label);
-                    accumulate_example(model, ex, side, ctx_a, coef, l2_coef, &mut sink);
-                }
-            }
-        }
-        LossKind::MarginRanking { margin } => {
-            for group in chunk_examples.chunks(group_len) {
-                let pos = group[0].0;
-                model.tail_context(pos.head, pos.relation, ctx_a);
-                let pos_score = dot_fast(ctx_a, model.entities.row(pos.tail.idx()));
-                for &(neg, _) in &group[1..] {
-                    let side = side_of(pos, neg);
-                    match side {
-                        Side::Tail => model.tail_context(neg.head, neg.relation, ctx_b),
-                        Side::Head => model.head_context(neg.tail, neg.relation, ctx_b),
-                    }
-                    let neg_score = dot_fast(ctx_b, model.entities.row(candidate_of(neg, side)));
-                    let pair_loss = (margin - pos_score + neg_score).max(0.0);
-                    *loss += f64::from(pair_loss);
-                    if pair_loss > 0.0 {
-                        // ∂/∂S(pos) = −1, ∂/∂S(neg) = +1.
-                        accumulate_example(model, pos, Side::Tail, ctx_a, -1.0, l2_coef, &mut sink);
-                        accumulate_example(model, neg, side, ctx_b, 1.0, l2_coef, &mut sink);
-                    }
-                }
-            }
-        }
-        LossKind::SoftmaxCrossEntropy { .. } => {
-            panic!("softmax cross-entropy runs on the k-vs-all path (compute_kvsall), not compute")
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Blocked path: gathered forward + flat slot-indexed slabs.
+// Per-chunk scratch: gathered forward + flat slot-indexed slabs.
 // ---------------------------------------------------------------------------
 
 /// O(1) row-index → dense-slot map with O(1) whole-map invalidation: an
@@ -672,8 +509,52 @@ impl SlotMap {
     }
 }
 
-/// Per-chunk scratch for the blocked path. Slabs, index arrays, and the
-/// context/pair/score buffers are all retained across batches.
+/// Input-dropout scratch for one chunk: the per-query anchor and relation
+/// masks and the masked rows they produce.
+#[derive(Default)]
+struct InputMasks {
+    anchor_mask: Vec<f32>,
+    rel_mask: Vec<f32>,
+    anchor_row: Vec<f32>,
+    rel_row: Vec<f32>,
+}
+
+/// A query's anchor and relation rows as the forward consumed them, plus
+/// the input masks that produced them (`None` when input dropout is off).
+type MaskedInputs<'a> = (&'a [f32], &'a [f32], Option<&'a [f32]>, Option<&'a [f32]>);
+
+impl InputMasks {
+    /// The model's own rows for `q`, or — with input dropout on — their
+    /// masked views, the masks regenerated from the counter RNG for the
+    /// query's batch-wide index `gi` so forward and backward agree.
+    fn apply<'a>(
+        &'a mut self,
+        model: &'a MultiEmbedModel,
+        q: KvQuery,
+        reg: &KvRegConfig,
+        gi: usize,
+    ) -> MaskedInputs<'a> {
+        let a = model.entities.row(q.anchor.idx());
+        let r = model.relations.row(q.relation.idx());
+        if reg.input_dropout <= 0.0 {
+            return (a, r, None, None);
+        }
+        let InputMasks { anchor_mask, rel_mask, anchor_row, rel_row } = self;
+        for (mask, row, stream, params) in [
+            (&mut *anchor_mask, &mut *anchor_row, MASK_STREAM_ANCHOR, a),
+            (&mut *rel_mask, &mut *rel_row, MASK_STREAM_REL, r),
+        ] {
+            mask.resize(params.len(), 0.0);
+            row.resize(params.len(), 0.0);
+            fill_dropout_mask(mask_stream_base(reg.mask_seed, gi as u64, stream), reg.input_dropout, mask);
+            apply_mask_into(params, mask, row);
+        }
+        (anchor_row, rel_row, Some(anchor_mask), Some(rel_mask))
+    }
+}
+
+/// Per-chunk scratch. Slabs, index arrays, and the context/pair/score
+/// buffers are all retained across batches.
 #[derive(Default)]
 struct BlockedChunk {
     ent: SlotMap,
@@ -684,9 +565,10 @@ struct BlockedChunk {
     rel_slab: Vec<f32>,
     omega: Vec<f32>,
     loss: f64,
-    /// Packed anchor contexts (`kdim` floats each) for the current group;
-    /// kept group-sized so they stay L1-resident across build, gather,
-    /// and backward.
+    /// Packed anchor contexts (`kdim` floats each): the current group's
+    /// on the sampled path (kept group-sized so they stay L1-resident
+    /// across build, gather, and backward), every query's score-GEMM
+    /// operand on the k-vs-all path.
     ctxs: Vec<f32>,
     /// The current group's (context row, candidate entity) forward indices.
     pairs: Vec<(u32, u32)>,
@@ -694,29 +576,28 @@ struct BlockedChunk {
     /// Context directory for the current group: (side, anchor entity,
     /// relation, ctx row).
     group_anchors: Vec<(Side, u32, u32, u32)>,
-    /// k-vs-all: the residual-weighted entity sums (`kdim` floats per
-    /// query group) — `∂L/∂ctx`, the shared operand of the sparse
+    /// k-vs-all: `∂L/∂ctx` per query (`kdim` floats each), built from the
+    /// residual-weighted entity sums — the shared operand of the sparse
     /// anchor/relation/ω backward.
     gctx: Vec<f32>,
     /// k-vs-all: query groups this chunk processed in the current batch.
-    /// Pass B reads `scores`/`ctxs` through this count after the chunk
-    /// workers have finished.
+    /// The sequential reductions and pass B read `scores`/`ctxs` through
+    /// this count after the chunk workers have finished.
     groups: usize,
-    /// Regularized k-vs-all: pre-norm interaction contexts (`kdim` per
+    /// k-vs-all with batch norm: pre-norm interaction contexts (`kdim` per
     /// query) — the batch-norm backward recomputes `x̂` from these while
     /// `ctxs` holds the post-norm post-dropout values the GEMMs consumed.
     raw_ctxs: Vec<f32>,
-    /// Regularized k-vs-all mask/row scratch, regenerated per query from
-    /// the counter RNG (`kdim` context/anchor buffers, `rel_row_len`
-    /// relation buffers, and a per-query gradient-contribution row).
-    reg_mask: Vec<f32>,
-    reg_anchor_mask: Vec<f32>,
-    reg_rel_mask: Vec<f32>,
-    reg_anchor_row: Vec<f32>,
-    reg_rel_row: Vec<f32>,
-    reg_scratch: Vec<f32>,
+    /// k-vs-all dropout scratch, regenerated per query: the context mask
+    /// and the input masks with the rows they produce.
+    ctx_mask: Vec<f32>,
+    inputs: InputMasks,
+    /// Staging row for regularized k-vs-all scatters.
+    staging: Vec<f32>,
 }
 
+/// One chunk's accumulator: slot-interned entity and relation rows plus
+/// the dense effective-ω gradient.
 struct BlockedSink<'a> {
     epoch: u32,
     ent: &'a mut SlotMap,
@@ -728,9 +609,11 @@ struct BlockedSink<'a> {
     omega: &'a mut Vec<f32>,
 }
 
-impl GradSink for BlockedSink<'_> {
-    const FAST: bool = true;
-
+impl BlockedSink<'_> {
+    /// The accumulator row for `key`, plus whether this is its first
+    /// touch of the batch (`true` means the contents are unspecified — a
+    /// recycled slot still holds an earlier batch's data — and must be
+    /// fully initialized before any read-modify-write).
     fn row_mut(&mut self, key: RowKey, len: usize) -> (&mut [f32], bool) {
         let (map, keys, slab, idx) = match key {
             RowKey::Entity(e) => (&mut *self.ent, &mut *self.ent_keys, &mut *self.ent_slab, e),
@@ -743,16 +626,27 @@ impl GradSink for BlockedSink<'_> {
             if slab.len() < end {
                 slab.resize(end, 0.0);
             }
-            // Recycled slots still hold the previous batch's data; the
-            // fresh flag obliges the core to fully initialize the row.
         }
         (&mut slab[slot * len..(slot + 1) * len], fresh)
     }
+}
 
-    fn omega_mut(&mut self) -> &mut [f32] {
-        self.omega
+impl BlockedChunk {
+    /// Clears the chunk's accumulator for a new batch.
+    fn clear_sink(&mut self, n3: usize) {
+        self.ent_keys.clear();
+        self.rel_keys.clear();
+        if self.omega.len() == n3 {
+            self.omega.fill(0.0);
+        } else {
+            self.omega = vec![0.0; n3];
+        }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Negative sampling: gathered forward + flat slot-indexed slabs.
+// ---------------------------------------------------------------------------
 
 #[allow(clippy::too_many_arguments)]
 fn run_blocked_chunk(
@@ -769,13 +663,7 @@ fn run_blocked_chunk(
     let ent_row_len = model.entities.row_len();
     let entity_table = model.entities.as_slice();
     c.loss = 0.0;
-    c.ent_keys.clear();
-    c.rel_keys.clear();
-    if c.omega.len() == n3 {
-        c.omega.fill(0.0);
-    } else {
-        c.omega = vec![0.0; n3];
-    }
+    c.clear_sink(n3);
 
     let BlockedChunk {
         ent, rel, ent_keys, rel_keys, ent_slab, rel_slab, omega, loss, ctxs, pairs, scores, group_anchors, ..
@@ -859,6 +747,7 @@ fn run_blocked_chunk(
                     let pair_loss = (margin - pos_score + scores[p]).max(0.0);
                     *loss += f64::from(pair_loss);
                     if pair_loss > 0.0 {
+                        // ∂/∂S(pos) = −1, ∂/∂S(neg) = +1.
                         accumulate_example(model, pos, Side::Tail, ctx_of(pos_ctx), -1.0, l2_coef, &mut sink);
                         accumulate_example(model, neg, side, ctx_of(pairs[p].0), 1.0, l2_coef, &mut sink);
                     }
@@ -872,275 +761,9 @@ fn run_blocked_chunk(
 }
 
 // ---------------------------------------------------------------------------
-// k-vs-all path: full-softmax GEMM forward + GEMM-shaped backward.
+// k-vs-all: full-softmax GEMM forward + GEMM-shaped backward, with input
+// dropout → batch norm → context dropout applied where switched on.
 // ---------------------------------------------------------------------------
-
-/// k-vs-all forward for one chunk of query groups: pack one anchor
-/// context per group, score all of them against the whole entity table in
-/// one cache-blocked GEMM, then take the softmax–cross-entropy residual
-/// of each score row in place (so `scores` holds `∂L/∂S` afterwards).
-fn run_kv_forward_chunk(
-    model: &MultiEmbedModel,
-    queries: &[KvQuery],
-    targets: &SortedTargets,
-    label_smooth: f32,
-    c: &mut BlockedChunk,
-) {
-    let kdim = model.config().n * model.config().dim;
-    let ne = model.entities.num_items();
-    let entity_table = model.entities.as_slice();
-    c.loss = 0.0;
-    c.groups = queries.len();
-    let cn = queries.len() * kdim;
-    if c.ctxs.len() < cn {
-        c.ctxs.resize(cn, 0.0);
-    }
-    for (q, ctx) in queries.iter().zip(c.ctxs[..cn].chunks_mut(kdim)) {
-        match q.side {
-            Side::Tail => model.tail_context(q.anchor, q.relation, ctx),
-            Side::Head => model.head_context(q.anchor, q.relation, ctx),
-        }
-    }
-    let sn = queries.len() * ne;
-    if c.scores.len() < sn {
-        c.scores.resize(sn, 0.0);
-    }
-    gemm_nt(&c.ctxs[..cn], entity_table, kdim, &mut c.scores[..sn]);
-    for (g, q) in queries.iter().enumerate() {
-        let t = match q.side {
-            Side::Tail => targets.tails_of(q.anchor, q.relation),
-            Side::Head => targets.heads_of(q.anchor, q.relation),
-        };
-        c.loss += softmax_ce_residual(&mut c.scores[g * ne..(g + 1) * ne], t, label_smooth);
-    }
-}
-
-/// k-vs-all sparse backward for one chunk: pass A collapses each group's
-/// residual row into a residual-weighted entity sum with one GEMM
-/// (`gctx_g = Σ_e r_{g,e}·E_e`), then the shared scatter core accumulates
-/// the anchor, relation, and ω gradients. The dense entity-table gradient
-/// (pass B) crosses chunks and runs afterwards in
-/// `GradWorkspace::scatter_kv_dense`.
-fn run_kv_backward_chunk(
-    model: &MultiEmbedModel,
-    queries: &[KvQuery],
-    l2_coef: f32,
-    n3: usize,
-    epoch: u32,
-    c: &mut BlockedChunk,
-) {
-    let kdim = model.config().n * model.config().dim;
-    let ne = model.entities.num_items();
-    let entity_table = model.entities.as_slice();
-    c.ent_keys.clear();
-    c.rel_keys.clear();
-    if c.omega.len() == n3 {
-        c.omega.fill(0.0);
-    } else {
-        c.omega = vec![0.0; n3];
-    }
-    let cn = queries.len() * kdim;
-    if c.gctx.len() < cn {
-        c.gctx.resize(cn, 0.0);
-    }
-    c.gctx[..cn].fill(0.0);
-    gemm_nn_acc(&c.scores[..queries.len() * ne], entity_table, kdim, &mut c.gctx[..cn]);
-    let BlockedChunk { ent, rel, ent_keys, rel_keys, ent_slab, rel_slab, omega, gctx, .. } = c;
-    let mut sink = BlockedSink { epoch, ent, ent_keys, ent_slab, rel, rel_keys, rel_slab, omega };
-    for (g, &q) in queries.iter().enumerate() {
-        accumulate_group_backward(model, q, &gctx[g * kdim..(g + 1) * kdim], l2_coef, &mut sink);
-    }
-}
-
-/// Accumulates one k-vs-all query group's anchor-row, relation-row, and ω
-/// gradients into `sink`, given the group's residual-weighted entity sum
-/// `gctx` — which plays exactly the role the candidate embedding plays in
-/// [`accumulate_example`], since the score is linear in the candidate
-/// slot. The candidate-side gradient itself is dense over the entity
-/// table and is handled by the pass-B GEMM; only the anchor and relation
-/// rows take an L2 pull here (one per group touch), so pass B stays a
-/// clean GEMM — matching the exemplar regime of no candidate-side
-/// regularization.
-fn accumulate_group_backward<S: GradSink>(
-    model: &MultiEmbedModel,
-    q: KvQuery,
-    gctx: &[f32],
-    l2_coef: f32,
-    sink: &mut S,
-) {
-    let d = model.config().dim;
-    let ent_row_len = model.entities.row_len();
-    let rel_row_len = model.relations.row_len();
-    let a = model.entities.row(q.anchor.idx());
-    let r = model.relations.row(q.relation.idx());
-
-    // Anchor row: same fresh-row write-mode scheme as `accumulate_example`
-    // with the residual sum standing in for the candidate operand.
-    {
-        let (entry, fresh) = sink.row_mut(RowKey::Entity(q.anchor.idx()), ent_row_len);
-        let n_sub = ent_row_len / d;
-        let mut written: u64 = if fresh && S::FAST && n_sub <= 64 { 0 } else { u64::MAX };
-        if fresh && written == u64::MAX {
-            entry.fill(0.0);
-        }
-        for &(i, j, k, w) in model.terms() {
-            if w == 0.0 {
-                continue;
-            }
-            let (sub, b_row) = match q.side {
-                // ∂L/∂h⁽ⁱ⁾ = Σ_{j,k} ω·(Σ_e r_e·t_e⁽ʲ⁾)⊙r⁽ᵏ⁾
-                Side::Tail => (i, &gctx[j * d..(j + 1) * d]),
-                // ∂L/∂t⁽ʲ⁾ = Σ_{i,k} ω·(Σ_e r_e·h_e⁽ⁱ⁾)⊙r⁽ᵏ⁾
-                Side::Head => (j, &gctx[i * d..(i + 1) * d]),
-            };
-            let rk = &r[k * d..(k + 1) * d];
-            let out = &mut entry[sub * d..(sub + 1) * d];
-            if written & (1 << sub) == 0 {
-                written |= 1 << sub;
-                hadamard_write_fast(w, b_row, rk, out);
-            } else {
-                hadamard_axpy_fast(w, b_row, rk, out);
-            }
-        }
-        if written != u64::MAX {
-            for s in 0..n_sub {
-                if written & (1 << s) == 0 {
-                    entry[s * d..(s + 1) * d].fill(0.0);
-                }
-            }
-        }
-        if S::FAST {
-            axpy_fast(l2_coef, a, entry);
-        } else {
-            axpy_l2(entry, l2_coef, a);
-        }
-    }
-
-    // Relation row, keyed on `k` like `accumulate_example`.
-    {
-        let (entry, fresh) = sink.row_mut(RowKey::Relation(q.relation.idx()), rel_row_len);
-        let n_sub = rel_row_len / d;
-        let mut written: u64 = if fresh && S::FAST && n_sub <= 64 { 0 } else { u64::MAX };
-        if fresh && written == u64::MAX {
-            entry.fill(0.0);
-        }
-        for &(i, j, k, w) in model.terms() {
-            if w == 0.0 {
-                continue;
-            }
-            // Tail: ∂L/∂r⁽ᵏ⁾ = Σ_{i,j} ω·h⁽ⁱ⁾⊙(Σ_e r_e·t_e⁽ʲ⁾);
-            // Head: the anchor fills the tail slot and the sum runs over
-            // candidate heads.
-            let (a_row, b_row) = match q.side {
-                Side::Tail => (&a[i * d..(i + 1) * d], &gctx[j * d..(j + 1) * d]),
-                Side::Head => (&gctx[i * d..(i + 1) * d], &a[j * d..(j + 1) * d]),
-            };
-            let out = &mut entry[k * d..(k + 1) * d];
-            if written & (1 << k) == 0 {
-                written |= 1 << k;
-                hadamard_write_fast(w, a_row, b_row, out);
-            } else {
-                hadamard_axpy_fast(w, a_row, b_row, out);
-            }
-        }
-        if written != u64::MAX {
-            for s in 0..n_sub {
-                if written & (1 << s) == 0 {
-                    entry[s * d..(s + 1) * d].fill(0.0);
-                }
-            }
-        }
-        if S::FAST {
-            axpy_fast(l2_coef, r, entry);
-        } else {
-            axpy_l2(entry, l2_coef, r);
-        }
-    }
-
-    // ω: ∂L/∂ω_ijk = Σ_e r_e·⟨…⟩ — the trilinear form is linear in the
-    // candidate slot, so the residual sum slides inside it.
-    if model.trainable_omega() {
-        let n = model.config().n;
-        let nr = model.omega().n_rel();
-        let omega = sink.omega_mut();
-        for &(i, j, k, _) in model.terms() {
-            let tri = match q.side {
-                Side::Tail => trilinear_fast(
-                    &a[i * d..(i + 1) * d],
-                    &gctx[j * d..(j + 1) * d],
-                    &r[k * d..(k + 1) * d],
-                ),
-                Side::Head => trilinear_fast(
-                    &gctx[i * d..(i + 1) * d],
-                    &a[j * d..(j + 1) * d],
-                    &r[k * d..(k + 1) * d],
-                ),
-            };
-            omega[(i * n + j) * nr + k] += tri;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Regularized k-vs-all path: input dropout → batch norm → context dropout.
-// ---------------------------------------------------------------------------
-
-/// Phase F1 of the regularized k-vs-all batch: build each query's raw
-/// (pre-norm) interaction context from input-dropout-masked anchor and
-/// relation rows. Masks are regenerated from the counter RNG keyed by the
-/// query's batch-wide index (`base + g`), so the backward can rebuild them
-/// exactly.
-fn run_kv_reg_input_chunk(
-    model: &MultiEmbedModel,
-    queries: &[KvQuery],
-    reg: &KvRegConfig,
-    base: usize,
-    c: &mut BlockedChunk,
-) {
-    let kdim = model.config().n * model.config().dim;
-    let rel_row_len = model.relations.row_len();
-    c.groups = queries.len();
-    let cn = queries.len() * kdim;
-    if c.raw_ctxs.len() < cn {
-        c.raw_ctxs.resize(cn, 0.0);
-    }
-    let use_input = reg.input_dropout > 0.0;
-    if use_input {
-        c.reg_anchor_mask.resize(kdim, 0.0);
-        c.reg_rel_mask.resize(rel_row_len, 0.0);
-        c.reg_anchor_row.resize(kdim, 0.0);
-        c.reg_rel_row.resize(rel_row_len, 0.0);
-    }
-    let BlockedChunk { raw_ctxs, reg_anchor_mask, reg_rel_mask, reg_anchor_row, reg_rel_row, .. } =
-        c;
-    for (g, q) in queries.iter().enumerate() {
-        let ctx = &mut raw_ctxs[g * kdim..(g + 1) * kdim];
-        let a = model.entities.row(q.anchor.idx());
-        let r = model.relations.row(q.relation.idx());
-        let (a_row, r_row): (&[f32], &[f32]) = if use_input {
-            let gi = (base + g) as u64;
-            fill_dropout_mask(
-                mask_stream_base(reg.mask_seed, gi, MASK_STREAM_ANCHOR),
-                reg.input_dropout,
-                reg_anchor_mask,
-            );
-            fill_dropout_mask(
-                mask_stream_base(reg.mask_seed, gi, MASK_STREAM_REL),
-                reg.input_dropout,
-                reg_rel_mask,
-            );
-            apply_mask_into(a, reg_anchor_mask, reg_anchor_row);
-            apply_mask_into(r, reg_rel_mask, reg_rel_row);
-            (reg_anchor_row, reg_rel_row)
-        } else {
-            (a, r)
-        };
-        match q.side {
-            Side::Tail => model.tail_context_from_rows(a_row, r_row, ctx),
-            Side::Head => model.head_context_from_rows(a_row, r_row, ctx),
-        }
-    }
-}
 
 /// Batch-norm operands for the forward chunk:
 /// `(batch mean, batch inverse std, γ, β)`, each `kdim` long.
@@ -1150,18 +773,43 @@ type BnForward<'a> = (&'a [f32], &'a [f32], &'a [f32], &'a [f32]);
 /// `(batch mean, batch inverse std, γ, Σgβ/Q, Σgγ/Q)`, each `kdim` long.
 type BnBackward<'a> = (&'a [f32], &'a [f32], &'a [f32], &'a [f32], &'a [f32]);
 
-/// A query's effective anchor/relation inputs after optional input
-/// dropout: `(anchor row, relation row, anchor mask, relation mask)` —
-/// the masks are `None` when input dropout is off.
-type MaskedInputs<'a> = (&'a [f32], &'a [f32], Option<&'a [f32]>, Option<&'a [f32]>);
+/// Forward phase 1: each query's interaction context, built from its
+/// anchor and relation rows as [`InputMasks::apply`] hands them out. With
+/// batch norm the contexts land in `raw_ctxs` for the batch moments;
+/// without it they go straight into `ctxs`, the score GEMM's operand.
+fn kv_context_chunk(
+    model: &MultiEmbedModel,
+    queries: &[KvQuery],
+    reg: &KvRegConfig,
+    base: usize,
+    c: &mut BlockedChunk,
+) {
+    let kdim = model.config().n * model.config().dim;
+    c.groups = queries.len();
+    let cn = queries.len() * kdim;
+    let BlockedChunk { ctxs, raw_ctxs, inputs, .. } = c;
+    let out = if reg.batch_norm { raw_ctxs } else { ctxs };
+    if out.len() < cn {
+        out.resize(cn, 0.0);
+    }
+    for (g, (&q, ctx)) in queries.iter().zip(out[..cn].chunks_mut(kdim)).enumerate() {
+        let (a_row, r_row, _, _) = inputs.apply(model, q, reg, base + g);
+        match q.side {
+            Side::Tail => model.tail_context_from_rows(a_row, r_row, ctx),
+            Side::Head => model.head_context_from_rows(a_row, r_row, ctx),
+        }
+    }
+}
 
-/// Phase F2: normalize each raw context with the **batch** statistics
-/// (training-mode batch norm), apply context dropout, then run the plain
-/// path's score GEMM + softmax residual. Afterwards `ctxs` holds `z̃` —
-/// the exact operand of the forward GEMM — so pass B's candidate-gradient
-/// GEMM (`residualᵀ·ctxs`) is correct without change.
+/// Forward phase 2: normalize each raw context with the **batch**
+/// statistics (training-mode batch norm) when on, apply context dropout
+/// when on, then score every context against the whole entity table in
+/// one cache-blocked GEMM and take each score row's softmax–cross-entropy
+/// residual in place (so `scores` holds `∂L/∂S`). Afterwards `ctxs` holds
+/// exactly the GEMM's operand, which pass B's entity-gradient GEMM
+/// (`residualᵀ·ctxs`) reuses.
 #[allow(clippy::too_many_arguments)]
-fn run_kv_reg_forward_chunk(
+fn kv_score_chunk(
     model: &MultiEmbedModel,
     queries: &[KvQuery],
     targets: &SortedTargets,
@@ -1176,27 +824,25 @@ fn run_kv_reg_forward_chunk(
     let entity_table = model.entities.as_slice();
     c.loss = 0.0;
     let cn = queries.len() * kdim;
-    if c.ctxs.len() < cn {
-        c.ctxs.resize(cn, 0.0);
-    }
-    if reg.dropout > 0.0 {
-        c.reg_mask.resize(kdim, 0.0);
-    }
-    {
-        let BlockedChunk { ctxs, raw_ctxs, reg_mask, .. } = &mut *c;
+    if bn.is_some() || reg.dropout > 0.0 {
+        let BlockedChunk { ctxs, raw_ctxs, ctx_mask, .. } = &mut *c;
+        if ctxs.len() < cn {
+            ctxs.resize(cn, 0.0);
+        }
+        ctx_mask.resize(kdim, 0.0);
         for g in 0..queries.len() {
             let ctx = &mut ctxs[g * kdim..(g + 1) * kdim];
-            ctx.copy_from_slice(&raw_ctxs[g * kdim..(g + 1) * kdim]);
             if let Some((mean, istd, gamma, beta)) = bn {
+                ctx.copy_from_slice(&raw_ctxs[g * kdim..(g + 1) * kdim]);
                 bn_apply(ctx, mean, istd, gamma, beta);
             }
             if reg.dropout > 0.0 {
                 fill_dropout_mask(
                     mask_stream_base(reg.mask_seed, (base + g) as u64, MASK_STREAM_CTX),
                     reg.dropout,
-                    reg_mask,
+                    ctx_mask,
                 );
-                apply_mask_in_place(ctx, reg_mask);
+                apply_mask_in_place(ctx, ctx_mask);
             }
         }
     }
@@ -1214,11 +860,11 @@ fn run_kv_reg_forward_chunk(
     }
 }
 
-/// Phase B1: the residual-collapse GEMM (`gctx_g = Σ_e r_{g,e}·E_e`,
-/// identical to the plain backward), followed by the context-dropout
-/// backward — the same mask the forward applied, regenerated and applied
-/// to the context gradient, leaving `gctx = ∂L/∂y` (the norm output).
-fn run_kv_reg_backward_gemm_chunk(
+/// Backward phase 1 (pass A): collapse each query's residual row into a
+/// residual-weighted entity sum with one GEMM (`gctx_g = Σ_e r_{g,e}·E_e`),
+/// then undo context dropout — the same mask the forward applied,
+/// regenerated — leaving `gctx = ∂L/∂y` (the norm output).
+fn kv_backward_gemm_chunk(
     model: &MultiEmbedModel,
     queries: &[KvQuery],
     reg: &KvRegConfig,
@@ -1235,24 +881,27 @@ fn run_kv_reg_backward_gemm_chunk(
     c.gctx[..cn].fill(0.0);
     gemm_nn_acc(&c.scores[..queries.len() * ne], entity_table, kdim, &mut c.gctx[..cn]);
     if reg.dropout > 0.0 {
-        let BlockedChunk { gctx, reg_mask, .. } = &mut *c;
+        let BlockedChunk { gctx, ctx_mask, .. } = &mut *c;
         for g in 0..queries.len() {
             fill_dropout_mask(
                 mask_stream_base(reg.mask_seed, (base + g) as u64, MASK_STREAM_CTX),
                 reg.dropout,
-                reg_mask,
+                ctx_mask,
             );
-            apply_mask_in_place(&mut gctx[g * kdim..(g + 1) * kdim], reg_mask);
+            apply_mask_in_place(&mut gctx[g * kdim..(g + 1) * kdim], ctx_mask);
         }
     }
 }
 
-/// Phase B2: finish the per-query backward — batch-norm input gradient in
-/// place on `gctx` (using the sequentially reduced `gβ/Q`, `gγ/Q`), then
-/// the sparse anchor/relation/ω scatter with the query's regenerated
-/// input masks.
+/// Backward phase 2: finish each query's backward — the batch-norm input
+/// gradient in place on `gctx` when on (using the sequentially reduced
+/// `gβ/Q`, `gγ/Q`) — then scatter its anchor, relation and ω gradients
+/// with the residual sum in the candidate slot. The candidate-side
+/// gradient itself is dense over the entity table and is left to pass B;
+/// only the anchor and relation rows take an L2 pull here (one per query
+/// touch), so pass B stays a clean GEMM.
 #[allow(clippy::too_many_arguments)]
-fn run_kv_reg_scatter_chunk(
+fn kv_scatter_chunk(
     model: &MultiEmbedModel,
     queries: &[KvQuery],
     l2_coef: f32,
@@ -1264,202 +913,35 @@ fn run_kv_reg_scatter_chunk(
     c: &mut BlockedChunk,
 ) {
     let kdim = model.config().n * model.config().dim;
-    let rel_row_len = model.relations.row_len();
-    c.ent_keys.clear();
-    c.rel_keys.clear();
-    if c.omega.len() == n3 {
-        c.omega.fill(0.0);
-    } else {
-        c.omega = vec![0.0; n3];
-    }
-    let use_input = reg.input_dropout > 0.0;
-    if use_input {
-        c.reg_anchor_mask.resize(kdim, 0.0);
-        c.reg_rel_mask.resize(rel_row_len, 0.0);
-        c.reg_anchor_row.resize(kdim, 0.0);
-        c.reg_rel_row.resize(rel_row_len, 0.0);
-    }
+    let staged = reg.is_active();
+    c.clear_sink(n3);
     let BlockedChunk {
-        ent,
-        rel,
-        ent_keys,
-        rel_keys,
-        ent_slab,
-        rel_slab,
-        omega,
-        gctx,
-        raw_ctxs,
-        reg_anchor_mask,
-        reg_rel_mask,
-        reg_anchor_row,
-        reg_rel_row,
-        reg_scratch,
-        ..
+        ent, rel, ent_keys, rel_keys, ent_slab, rel_slab, omega, gctx, raw_ctxs, inputs, staging, ..
     } = c;
     let mut sink = BlockedSink { epoch, ent, ent_keys, ent_slab, rel, rel_keys, rel_slab, omega };
     for (g, &q) in queries.iter().enumerate() {
         let gctx_row = &mut gctx[g * kdim..(g + 1) * kdim];
         if let Some((mean, istd, gamma, gb_q, gg_q)) = bn {
-            bn_backward_row(
-                gctx_row,
-                &raw_ctxs[g * kdim..(g + 1) * kdim],
-                mean,
-                istd,
-                gamma,
-                gb_q,
-                gg_q,
-            );
+            bn_backward_row(gctx_row, &raw_ctxs[g * kdim..(g + 1) * kdim], mean, istd, gamma, gb_q, gg_q);
         }
-        let a = model.entities.row(q.anchor.idx());
-        let r = model.relations.row(q.relation.idx());
-        let (a_used, r_used, a_mask, r_mask): MaskedInputs<'_> = if use_input {
-            let gi = (base + g) as u64;
-            fill_dropout_mask(
-                mask_stream_base(reg.mask_seed, gi, MASK_STREAM_ANCHOR),
-                reg.input_dropout,
-                reg_anchor_mask,
-            );
-            fill_dropout_mask(
-                mask_stream_base(reg.mask_seed, gi, MASK_STREAM_REL),
-                reg.input_dropout,
-                reg_rel_mask,
-            );
-            apply_mask_into(a, reg_anchor_mask, reg_anchor_row);
-            apply_mask_into(r, reg_rel_mask, reg_rel_row);
-            (&*reg_anchor_row, &*reg_rel_row, Some(&**reg_anchor_mask), Some(&**reg_rel_mask))
-        } else {
-            (a, r, None, None)
+        let gctx_row = &*gctx_row;
+        let (a, r, anchor_mask, rel_mask) = inputs.apply(model, q, reg, base + g);
+        let (h, t) = match q.side {
+            Side::Tail => (a, gctx_row),
+            Side::Head => (gctx_row, a),
         };
-        accumulate_group_backward_reg(
+        let staging = staged.then_some(Staging { scratch: &mut *staging, anchor_mask, rel_mask });
+        accumulate_anchor_side(
             model,
-            q,
-            gctx_row,
+            q.side,
+            q.anchor.idx(),
+            q.relation.idx(),
+            (h, t, r),
+            1.0,
             l2_coef,
-            a_used,
-            r_used,
-            a_mask,
-            r_mask,
-            reg_scratch,
+            staging,
             &mut sink,
         );
-    }
-}
-
-/// The regularized analogue of [`accumulate_group_backward`]. The
-/// difference: the forward consumed *masked* anchor/relation rows, so
-/// every backward operand that was an embedding row in the plain path is
-/// the masked row here (`a_used`, `r_used`), and the chain rule through
-/// the input dropout multiplies each row gradient by the query's own mask
-/// before it joins the shared accumulator — which is why the contribution
-/// is built in `scratch` first (the accumulator may already hold other
-/// queries' contributions under *their* masks). L2 still pulls on the raw
-/// rows: weight decay regularizes parameters, not their dropped views.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_group_backward_reg<S: GradSink>(
-    model: &MultiEmbedModel,
-    q: KvQuery,
-    gctx: &[f32],
-    l2_coef: f32,
-    a_used: &[f32],
-    r_used: &[f32],
-    a_mask: Option<&[f32]>,
-    r_mask: Option<&[f32]>,
-    scratch: &mut Vec<f32>,
-    sink: &mut S,
-) {
-    let d = model.config().dim;
-    let ent_row_len = model.entities.row_len();
-    let rel_row_len = model.relations.row_len();
-    let a_raw = model.entities.row(q.anchor.idx());
-    let r_raw = model.relations.row(q.relation.idx());
-
-    // Anchor row.
-    {
-        scratch.resize(ent_row_len.max(rel_row_len), 0.0);
-        let contrib = &mut scratch[..ent_row_len];
-        contrib.fill(0.0);
-        for &(i, j, k, w) in model.terms() {
-            if w == 0.0 {
-                continue;
-            }
-            let (sub, b_row) = match q.side {
-                Side::Tail => (i, &gctx[j * d..(j + 1) * d]),
-                Side::Head => (j, &gctx[i * d..(i + 1) * d]),
-            };
-            let rk = &r_used[k * d..(k + 1) * d];
-            hadamard_axpy_fast(w, b_row, rk, &mut contrib[sub * d..(sub + 1) * d]);
-        }
-        if let Some(mask) = a_mask {
-            apply_mask_in_place(contrib, mask);
-        }
-        let (entry, fresh) = sink.row_mut(RowKey::Entity(q.anchor.idx()), ent_row_len);
-        if fresh {
-            entry.copy_from_slice(contrib);
-        } else {
-            for (acc, g) in entry.iter_mut().zip(contrib.iter()) {
-                *acc += *g;
-            }
-        }
-        if S::FAST {
-            axpy_fast(l2_coef, a_raw, entry);
-        } else {
-            axpy_l2(entry, l2_coef, a_raw);
-        }
-    }
-
-    // Relation row.
-    {
-        let contrib = &mut scratch[..rel_row_len];
-        contrib.fill(0.0);
-        for &(i, j, k, w) in model.terms() {
-            if w == 0.0 {
-                continue;
-            }
-            let (a_row, b_row) = match q.side {
-                Side::Tail => (&a_used[i * d..(i + 1) * d], &gctx[j * d..(j + 1) * d]),
-                Side::Head => (&gctx[i * d..(i + 1) * d], &a_used[j * d..(j + 1) * d]),
-            };
-            hadamard_axpy_fast(w, a_row, b_row, &mut contrib[k * d..(k + 1) * d]);
-        }
-        if let Some(mask) = r_mask {
-            apply_mask_in_place(contrib, mask);
-        }
-        let (entry, fresh) = sink.row_mut(RowKey::Relation(q.relation.idx()), rel_row_len);
-        if fresh {
-            entry.copy_from_slice(contrib);
-        } else {
-            for (acc, g) in entry.iter_mut().zip(contrib.iter()) {
-                *acc += *g;
-            }
-        }
-        if S::FAST {
-            axpy_fast(l2_coef, r_raw, entry);
-        } else {
-            axpy_l2(entry, l2_coef, r_raw);
-        }
-    }
-
-    // ω: the forward used the masked rows, so the trilinear operands do
-    // too (ω itself is never dropped).
-    if model.trainable_omega() {
-        let n = model.config().n;
-        let nr = model.omega().n_rel();
-        let omega = sink.omega_mut();
-        for &(i, j, k, _) in model.terms() {
-            let tri = match q.side {
-                Side::Tail => trilinear_fast(
-                    &a_used[i * d..(i + 1) * d],
-                    &gctx[j * d..(j + 1) * d],
-                    &r_used[k * d..(k + 1) * d],
-                ),
-                Side::Head => trilinear_fast(
-                    &gctx[i * d..(i + 1) * d],
-                    &a_used[j * d..(j + 1) * d],
-                    &r_used[k * d..(k + 1) * d],
-                ),
-            };
-            omega[(i * n + j) * nr + k] += tri;
-        }
     }
 }
 
@@ -1467,16 +949,16 @@ fn accumulate_group_backward_reg<S: GradSink>(
 // Workspace: chunk scheduling, merging, result access.
 // ---------------------------------------------------------------------------
 
-/// Reusable gradient workspace: all per-batch scratch (chunk maps or
-/// slabs, context/score buffers, merge indices) lives here and is
-/// recycled across batches, so steady-state training does not allocate.
+/// Reusable gradient workspace: all per-batch scratch (chunk slabs,
+/// context/score buffers, merge indices) lives here and is recycled
+/// across batches, so steady-state training does not allocate.
 ///
-/// One call to [`GradWorkspace::compute`] fills the workspace with the
-/// summed gradients for a labeled batch; [`GradWorkspace::for_each_row`],
+/// One call to [`GradWorkspace::compute`] (or
+/// [`GradWorkspace::compute_kvsall`]) fills the workspace with the summed
+/// gradients for a batch; [`GradWorkspace::for_each_row`],
 /// [`GradWorkspace::for_each_row_sorted`], and
 /// [`GradWorkspace::omega_grads`] expose them until the next call.
 pub struct GradWorkspace {
-    path: GradPath,
     threads: usize,
     epoch: u32,
     ent_row_len: usize,
@@ -1484,10 +966,6 @@ pub struct GradWorkspace {
     loss: f64,
     omega: Vec<f32>,
     sorted_keys: Vec<RowKey>,
-    // Legacy result + scratch.
-    legacy: Vec<LegacyChunk>,
-    rows: RowGrads,
-    // Blocked result + scratch.
     blocked: Vec<BlockedChunk>,
     g_ent: SlotMap,
     g_rel: SlotMap,
@@ -1501,9 +979,9 @@ pub struct GradWorkspace {
     kv_mode: bool,
     kv_entities: usize,
     kv_dense: Vec<f32>,
-    // Regularized k-vs-all: batch-norm statistics and γ/β gradients.
-    // Moments and grad sums reduce in f64 (sequential over chunks in
-    // chunk order → thread-count independent), then round once to f32.
+    // k-vs-all batch norm: batch statistics and γ/β gradients. Moments
+    // and grad sums reduce in f64 (sequential over chunks in chunk order
+    // → thread-count independent), then round once to f32.
     reg_sum: Vec<f64>,
     reg_sumsq: Vec<f64>,
     reg_gb64: Vec<f64>,
@@ -1518,12 +996,17 @@ pub struct GradWorkspace {
     reg_queries: usize,
 }
 
+impl Default for GradWorkspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl GradWorkspace {
-    /// Creates an empty workspace for the given path using all available
-    /// cores; buffers are sized lazily on the first
-    /// [`GradWorkspace::compute`] call.
-    pub fn new(path: GradPath) -> Self {
-        Self::with_threads(path, 0)
+    /// Creates an empty workspace using all available cores; buffers are
+    /// sized lazily on the first compute call.
+    pub fn new() -> Self {
+        Self::with_threads(0)
     }
 
     /// Creates an empty workspace computing with at most `threads` workers
@@ -1532,9 +1015,8 @@ impl GradWorkspace {
     /// The thread count is a speed knob only: chunk boundaries and merge
     /// order are fixed by the batch shape, so results are bit-identical
     /// for every `threads` value.
-    pub fn with_threads(path: GradPath, threads: usize) -> Self {
+    pub fn with_threads(threads: usize) -> Self {
         Self {
-            path,
             threads: resolve_threads(threads),
             epoch: 0,
             ent_row_len: 0,
@@ -1542,8 +1024,6 @@ impl GradWorkspace {
             loss: 0.0,
             omega: Vec::new(),
             sorted_keys: Vec::new(),
-            legacy: Vec::new(),
-            rows: HashMap::new(),
             blocked: Vec::new(),
             g_ent: SlotMap::default(),
             g_rel: SlotMap::default(),
@@ -1571,14 +1051,40 @@ impl GradWorkspace {
         }
     }
 
-    /// The path this workspace drives.
-    pub fn path(&self) -> GradPath {
-        self.path
-    }
-
     /// The resolved worker count this workspace computes with.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Starts a batch: records its shapes, advances the slot-map epoch
+    /// (so every stale slot reads as free), and readies `nchunks` chunks
+    /// of scratch.
+    fn begin_batch(&mut self, model: &MultiEmbedModel, kv_mode: bool, nchunks: usize) {
+        let num_entities = model.entities.num_items();
+        let num_relations = model.relations.num_items();
+        self.kv_mode = kv_mode;
+        self.kv_entities = num_entities;
+        self.ent_row_len = model.entities.row_len();
+        self.rel_row_len = model.relations.row_len();
+        if self.epoch == u32::MAX {
+            for c in &mut self.blocked {
+                c.ent.reset();
+                c.rel.reset();
+            }
+            self.g_ent.reset();
+            self.g_rel.reset();
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        while self.blocked.len() < nchunks {
+            self.blocked.push(BlockedChunk::default());
+        }
+        self.g_ent.ensure(num_entities);
+        self.g_rel.ensure(num_relations);
+        for c in &mut self.blocked[..nchunks] {
+            c.ent.ensure(num_entities);
+            c.rel.ensure(num_relations);
+        }
     }
 
     /// Computes summed gradients for a labeled batch, replacing the
@@ -1600,197 +1106,54 @@ impl GradWorkspace {
     ) -> f64 {
         assert!(group_len >= 1, "group_len must be at least 1");
         let n3 = model.omega().dense().len();
-        self.kv_mode = false;
-        self.ent_row_len = model.entities.row_len();
-        self.rel_row_len = model.relations.row_len();
-        if self.epoch == u32::MAX {
-            for c in &mut self.blocked {
-                c.ent.reset();
-                c.rel.reset();
-            }
-            self.g_ent.reset();
-            self.g_rel.reset();
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-
         let chunk = chunk_len(examples.len(), group_len);
         let nchunks = examples.len().div_ceil(chunk.max(1));
+        self.begin_batch(model, false, nchunks);
 
         let span = timing.is_some().then(Instant::now);
-        match self.path {
-            GradPath::Legacy => self.compute_legacy_chunks(model, examples, chunk, nchunks, group_len, l2_coef, loss_kind, n3),
-            GradPath::Blocked => self.compute_blocked_chunks(model, examples, chunk, nchunks, group_len, l2_coef, loss_kind, n3),
-        }
-        if let (Some(t0), Some(ph)) = (span, timing.as_deref_mut()) {
-            ph.forward += t0.elapsed().as_secs_f64();
-        }
-
-        let span = timing.is_some().then(Instant::now);
-        match self.path {
-            GradPath::Legacy => self.merge_legacy(nchunks, n3),
-            GradPath::Blocked => self.merge_blocked(nchunks, n3),
-        }
-        if let (Some(t0), Some(ph)) = (span, timing.as_mut()) {
-            ph.merge += t0.elapsed().as_secs_f64();
-        }
-        self.loss
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn compute_legacy_chunks(
-        &mut self,
-        model: &MultiEmbedModel,
-        examples: &[(Triple, Label)],
-        chunk: usize,
-        nchunks: usize,
-        group_len: usize,
-        l2_coef: f32,
-        loss_kind: LossKind,
-        n3: usize,
-    ) {
-        self.recycle_legacy_rows();
-        while self.legacy.len() < nchunks {
-            self.legacy.push(LegacyChunk::default());
-        }
-        let used = &mut self.legacy[..nchunks];
-        run_chunked(examples, chunk, used, self.threads, |ex_chunk, c| {
-            run_legacy_chunk(model, ex_chunk, group_len, l2_coef, loss_kind, n3, c)
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn compute_blocked_chunks(
-        &mut self,
-        model: &MultiEmbedModel,
-        examples: &[(Triple, Label)],
-        chunk: usize,
-        nchunks: usize,
-        group_len: usize,
-        l2_coef: f32,
-        loss_kind: LossKind,
-        n3: usize,
-    ) {
-        while self.blocked.len() < nchunks {
-            self.blocked.push(BlockedChunk::default());
-        }
-        let num_entities = model.entities.num_items();
-        let num_relations = model.relations.num_items();
-        self.g_ent.ensure(num_entities);
-        self.g_rel.ensure(num_relations);
         let epoch = self.epoch;
-        let used = &mut self.blocked[..nchunks];
-        for c in used.iter_mut() {
-            c.ent.ensure(num_entities);
-            c.rel.ensure(num_relations);
-        }
-        run_chunked(examples, chunk, used, self.threads, |ex_chunk, c| {
+        run_chunked(examples, chunk, &mut self.blocked[..nchunks], self.threads, |ex_chunk, c, _| {
             run_blocked_chunk(model, ex_chunk, group_len, l2_coef, loss_kind, n3, epoch, c)
         });
-    }
-
-    /// Computes the k-vs-all (full-softmax) gradients for a batch of
-    /// query groups, replacing the previous batch's results, and returns
-    /// the total loss.
-    ///
-    /// Each query is scored against every entity; `targets` supplies the
-    /// ascending per-`(anchor, relation)` true-candidate sets (build them
-    /// from the **train** store — using the all-splits filter store would
-    /// leak validation/test triples into the loss). Gradients afterwards
-    /// live in a *dense* entity-table slab (full softmax touches every
-    /// entity row) plus the usual sparse relation slab; read them through
-    /// [`GradWorkspace::for_each_row`] / [`GradWorkspace::row`], or hand
-    /// the workspace to the dense fused step. `self.path` is not
-    /// consulted — k-vs-all has exactly one implementation.
-    ///
-    /// When `timing` is given, the GEMM forward + softmax is added to
-    /// `phases.forward`, both backward GEMM passes and the sparse scatter
-    /// to `phases.backward`, and the chunk merge + anchor fold to
-    /// `phases.merge`.
-    pub fn compute_kvsall(
-        &mut self,
-        model: &MultiEmbedModel,
-        queries: &[KvQuery],
-        targets: &SortedTargets,
-        l2_coef: f32,
-        label_smooth: f32,
-        mut timing: Option<&mut PhaseBreakdown>,
-    ) -> f64 {
-        assert!(!queries.is_empty(), "kvsall batch must contain at least one query");
-        let n3 = model.omega().dense().len();
-        self.kv_mode = true;
-        self.kv_entities = model.entities.num_items();
-        self.ent_row_len = model.entities.row_len();
-        self.rel_row_len = model.relations.row_len();
-        if self.epoch == u32::MAX {
-            for c in &mut self.blocked {
-                c.ent.reset();
-                c.rel.reset();
-            }
-            self.g_ent.reset();
-            self.g_rel.reset();
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-
-        // Same shape-derived schedule as the negative-sampling paths,
-        // with a query group as the scheduling unit.
-        let chunk = chunk_len(queries.len(), 1);
-        let nchunks = queries.len().div_ceil(chunk.max(1));
-        while self.blocked.len() < nchunks {
-            self.blocked.push(BlockedChunk::default());
-        }
-        self.g_ent.ensure(self.kv_entities);
-        self.g_rel.ensure(model.relations.num_items());
-        for c in &mut self.blocked[..nchunks] {
-            c.ent.ensure(model.entities.num_items());
-            c.rel.ensure(model.relations.num_items());
-        }
-
-        let span = timing.is_some().then(Instant::now);
-        {
-            let used = &mut self.blocked[..nchunks];
-            run_chunked(queries, chunk, used, self.threads, |qs, c| {
-                run_kv_forward_chunk(model, qs, targets, label_smooth, c)
-            });
-        }
         if let (Some(t0), Some(ph)) = (span, timing.as_deref_mut()) {
             ph.forward += t0.elapsed().as_secs_f64();
-        }
-
-        let span = timing.is_some().then(Instant::now);
-        let epoch = self.epoch;
-        {
-            let used = &mut self.blocked[..nchunks];
-            run_chunked(queries, chunk, used, self.threads, |qs, c| {
-                run_kv_backward_chunk(model, qs, l2_coef, n3, epoch, c)
-            });
-        }
-        self.scatter_kv_dense(nchunks);
-        if let (Some(t0), Some(ph)) = (span, timing.as_deref_mut()) {
-            ph.backward += t0.elapsed().as_secs_f64();
         }
 
         let span = timing.is_some().then(Instant::now);
         self.merge_blocked(nchunks, n3);
-        self.fold_anchors_into_dense();
         if let (Some(t0), Some(ph)) = (span, timing.as_mut()) {
             ph.merge += t0.elapsed().as_secs_f64();
         }
         self.loss
     }
 
-    /// [`GradWorkspace::compute_kvsall`] with the training-stack
-    /// regularizers of `reg` applied: input dropout on anchor/relation
-    /// rows, batch norm (batch statistics) on the interaction contexts,
-    /// and context dropout before the score GEMM.
+    /// Computes the k-vs-all (full-softmax) gradients for a batch of
+    /// query groups under the regularizers `reg` switches on (input
+    /// dropout on anchor/relation rows, batch norm with batch statistics
+    /// on the interaction contexts, context dropout before the score
+    /// GEMM), replacing the previous batch's results, and returns the
+    /// total loss.
     ///
-    /// The plain path is untouched: with all knobs off the trainer calls
-    /// [`GradWorkspace::compute_kvsall`], whose bytes this entry never
-    /// perturbs. Thread-count bit-identity carries over because every
-    /// mask is a counter-RNG function of the query's batch-wide index and
-    /// the batch-norm reductions (moments, `gβ`, `gγ`) run sequentially
-    /// over chunks in chunk order with f64 accumulators.
+    /// Each query is scored against every entity; `targets` supplies the
+    /// ascending per-`(anchor, relation)` true-candidate sets (build them
+    /// from the **train** store — using the all-splits filter store would
+    /// leak validation/test triples into the loss). Contexts are built
+    /// from the raw anchor and relation rows: the model's interaction
+    /// norm enters only through `reg.batch_norm`. Gradients afterwards
+    /// live in a *dense* entity-table slab (full softmax touches every
+    /// entity row) plus the usual sparse relation slab; read them through
+    /// [`GradWorkspace::for_each_row`] / [`GradWorkspace::row`], or hand
+    /// the workspace to the dense fused step.
+    ///
+    /// A regularizer that is off costs nothing: no mask is generated and,
+    /// without batch norm, contexts go straight into the GEMM operand.
+    /// Unregularized batches scatter each query's anchor and relation
+    /// gradients straight into the accumulator rows; regularized ones
+    /// stage them first (see DESIGN.md §12 for why both orders stay).
+    /// Thread-count bit-identity holds with every knob because masks are
+    /// counter-RNG functions of the query's batch-wide index and the
+    /// batch-norm reductions (moments, `gβ`, `gγ`) run sequentially over
+    /// chunks in chunk order with f64 accumulators.
     ///
     /// When `reg.batch_norm` is set the model must carry an
     /// [`crate::model::InteractionNorm`]; afterwards
@@ -1798,8 +1161,13 @@ impl GradWorkspace {
     /// variance (for the trainer's running-stat update) and
     /// [`GradWorkspace::reg_norm_grads`] the summed γ/β gradients (for
     /// the optimizer step).
+    ///
+    /// When `timing` is given, the context build + GEMM forward + softmax
+    /// is added to `phases.forward`, both backward GEMM passes and the
+    /// sparse scatter to `phases.backward`, and the chunk merge + anchor
+    /// fold to `phases.merge`.
     #[allow(clippy::too_many_arguments)]
-    pub fn compute_kvsall_reg(
+    pub fn compute_kvsall(
         &mut self,
         model: &MultiEmbedModel,
         queries: &[KvQuery],
@@ -1816,45 +1184,21 @@ impl GradWorkspace {
         );
         let n3 = model.omega().dense().len();
         let kdim = model.config().n * model.config().dim;
-        self.kv_mode = true;
-        self.kv_entities = model.entities.num_items();
-        self.ent_row_len = model.entities.row_len();
-        self.rel_row_len = model.relations.row_len();
-        if self.epoch == u32::MAX {
-            for c in &mut self.blocked {
-                c.ent.reset();
-                c.rel.reset();
-            }
-            self.g_ent.reset();
-            self.g_rel.reset();
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-
+        // Same shape-derived schedule as the sampled path, with a query
+        // group as the scheduling unit.
         let chunk = chunk_len(queries.len(), 1);
         let nchunks = queries.len().div_ceil(chunk.max(1));
-        while self.blocked.len() < nchunks {
-            self.blocked.push(BlockedChunk::default());
-        }
-        self.g_ent.ensure(self.kv_entities);
-        self.g_rel.ensure(model.relations.num_items());
-        for c in &mut self.blocked[..nchunks] {
-            c.ent.ensure(model.entities.num_items());
-            c.rel.ensure(model.relations.num_items());
-        }
+        self.begin_batch(model, true, nchunks);
         self.reg_queries = queries.len();
         let threads = self.threads;
 
-        // F1 (parallel): masked-input raw contexts.
+        // Forward: contexts (parallel), batch moments (sequential, chunk
+        // order), then normalize + context dropout + score GEMM + softmax
+        // (parallel).
         let span = timing.is_some().then(Instant::now);
-        {
-            let used = &mut self.blocked[..nchunks];
-            run_chunked_idx(queries, chunk, used, threads, |qs, c, base| {
-                run_kv_reg_input_chunk(model, qs, reg, base, c)
-            });
-        }
-
-        // S1 (sequential, chunk order): f64 batch moments → mean/var/istd.
+        run_chunked(queries, chunk, &mut self.blocked[..nchunks], threads, |qs, c, base| {
+            kv_context_chunk(model, qs, reg, base, c)
+        });
         if reg.batch_norm {
             self.reg_sum.clear();
             self.reg_sum.resize(kdim, 0.0);
@@ -1883,33 +1227,27 @@ impl GradWorkspace {
                 &mut self.reg_istd,
             );
         }
-
-        // F2 (parallel): normalize + context-dropout + score GEMM + softmax.
         {
             let bn = reg.batch_norm.then(|| {
                 let nrm = model.interaction_norm().expect("asserted above");
                 (&self.reg_mean[..], &self.reg_istd[..], &nrm.gamma[..], &nrm.beta[..])
             });
-            let used = &mut self.blocked[..nchunks];
-            run_chunked_idx(queries, chunk, used, threads, |qs, c, base| {
-                run_kv_reg_forward_chunk(model, qs, targets, label_smooth, reg, base, bn, c)
+            run_chunked(queries, chunk, &mut self.blocked[..nchunks], threads, |qs, c, base| {
+                kv_score_chunk(model, qs, targets, label_smooth, reg, base, bn, c)
             });
         }
         if let (Some(t0), Some(ph)) = (span, timing.as_deref_mut()) {
             ph.forward += t0.elapsed().as_secs_f64();
         }
 
-        // B1 (parallel): residual-collapse GEMM + context-dropout backward.
+        // Backward: pass A + context-dropout backward (parallel), γ/β
+        // gradient sums (sequential, chunk order — they need every
+        // query's ∂L/∂y before the scatter overwrites `gctx` with ∂L/∂x),
+        // the sparse scatter (parallel), then pass B.
         let span = timing.is_some().then(Instant::now);
-        {
-            let used = &mut self.blocked[..nchunks];
-            run_chunked_idx(queries, chunk, used, threads, |qs, c, base| {
-                run_kv_reg_backward_gemm_chunk(model, qs, reg, base, c)
-            });
-        }
-
-        // S2 (sequential, chunk order): f64 γ/β gradient sums. Needs every
-        // query's ∂L/∂y before B2 overwrites `gctx` with ∂L/∂x in place.
+        run_chunked(queries, chunk, &mut self.blocked[..nchunks], threads, |qs, c, base| {
+            kv_backward_gemm_chunk(model, qs, reg, base, c)
+        });
         if reg.batch_norm {
             self.reg_gb64.clear();
             self.reg_gb64.resize(kdim, 0.0);
@@ -1938,8 +1276,6 @@ impl GradWorkspace {
                 self.reg_ggamma_q[f] = (self.reg_gg64[f] / qf) as f32;
             }
         }
-
-        // B2 (parallel): batch-norm input gradient + sparse scatter.
         let epoch = self.epoch;
         {
             let bn = reg.batch_norm.then(|| {
@@ -1952,9 +1288,8 @@ impl GradWorkspace {
                     &self.reg_ggamma_q[..],
                 )
             });
-            let used = &mut self.blocked[..nchunks];
-            run_chunked_idx(queries, chunk, used, threads, |qs, c, base| {
-                run_kv_reg_scatter_chunk(model, qs, l2_coef, reg, base, n3, epoch, bn, c)
+            run_chunked(queries, chunk, &mut self.blocked[..nchunks], threads, |qs, c, base| {
+                kv_scatter_chunk(model, qs, l2_coef, reg, base, n3, epoch, bn, c)
             });
         }
         self.scatter_kv_dense(nchunks);
@@ -1971,16 +1306,16 @@ impl GradWorkspace {
         self.loss
     }
 
-    /// The last regularized batch's batch-norm statistics: per-feature
-    /// mean, **biased** variance, and the query count `Q` they were
-    /// computed over. The trainer turns these into running-stat updates
+    /// The last batch-normalized batch's statistics: per-feature mean,
+    /// **biased** variance, and the query count `Q` they were computed
+    /// over. The trainer turns these into running-stat updates
     /// (unbiasing the variance with `Q/(Q−1)`).
     pub fn reg_batch_stats(&self) -> (&[f32], &[f32], usize) {
         (&self.reg_mean, &self.reg_var, self.reg_queries)
     }
 
-    /// The last regularized batch's summed γ and β gradients (in that
-    /// order), ready for the optimizer step on the norm parameters.
+    /// The last batch-normalized batch's summed γ and β gradients (in
+    /// that order), ready for the optimizer step on the norm parameters.
     pub fn reg_norm_grads(&self) -> (&[f32], &[f32]) {
         (&self.reg_ggamma, &self.reg_gbeta)
     }
@@ -2045,66 +1380,11 @@ impl GradWorkspace {
         }
     }
 
-    /// Returns the previous batch's merged row gradients to the chunk
-    /// freelists (round-robin), leaving `self.rows` empty with its
-    /// capacity intact.
-    fn recycle_legacy_rows(&mut self) {
-        if self.rows.is_empty() {
-            return;
-        }
-        let n = self.legacy.len().max(1);
-        if self.legacy.is_empty() {
-            self.rows.clear();
-            return;
-        }
-        for (i, (key, v)) in self.rows.drain().enumerate() {
-            let c = &mut self.legacy[i % n];
-            match key {
-                RowKey::Entity(_) => c.ent_free.push(v),
-                RowKey::Relation(_) => c.rel_free.push(v),
-            }
-        }
-    }
-
-    /// Sequential chunk-order merge: the first chunk to touch a row moves
-    /// its gradient in; later chunks add elementwise. Chunk order is the
-    /// example-stream order, so this is deterministic.
-    fn merge_legacy(&mut self, nchunks: usize, n3: usize) {
-        self.reset_omega(n3);
-        self.loss = 0.0;
-        for c in &mut self.legacy[..nchunks] {
-            self.loss += c.loss;
-            for (o, g) in self.omega.iter_mut().zip(&c.omega) {
-                *o += g;
-            }
-            let LegacyChunk { rows, ent_free, rel_free, .. } = c;
-            for (key, v) in rows.drain() {
-                match self.rows.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        for (a, b) in e.get_mut().iter_mut().zip(&v) {
-                            *a += b;
-                        }
-                        // Recycle the unneeded chunk row in place.
-                        match key {
-                            RowKey::Entity(_) => ent_free.push(v),
-                            RowKey::Relation(_) => rel_free.push(v),
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(v);
-                    }
-                }
-            }
-        }
-    }
-
     /// Deterministic merge of the per-chunk slabs.
     ///
-    /// With a single chunk (the common case on few-core machines, where
-    /// `chunk_len` spans the whole batch) the chunk's slabs, key lists,
-    /// and slot maps already *are* the merged result, so they are swapped
-    /// into the workspace wholesale — zero copies, exactly like the
-    /// legacy path's map move.
+    /// With a single chunk the chunk's slabs, key lists, and slot maps
+    /// already *are* the merged result, so they are swapped into the
+    /// workspace wholesale — zero copies.
     ///
     /// With multiple chunks: a sequential chunk-order pass assigns each
     /// touched row a global slot and records its per-chunk contributions
@@ -2112,7 +1392,7 @@ impl GradWorkspace {
     /// traffic — runs in parallel over disjoint slot ranges. Every row's
     /// additions happen in chunk order regardless of thread count, and
     /// the first contribution is copied rather than added to a zeroed
-    /// row, which is exactly the legacy move-then-add sequence.
+    /// row — the oracle's move-then-add sequence.
     fn merge_blocked(&mut self, nchunks: usize, n3: usize) {
         if nchunks == 1 {
             let c = &mut self.blocked[0];
@@ -2222,44 +1502,29 @@ impl GradWorkspace {
             }
             return;
         }
-        match self.path {
-            GradPath::Legacy => {
-                for (k, v) in &self.rows {
-                    f(*k, v);
-                }
-            }
-            GradPath::Blocked => {
-                for (s, &e) in self.g_ent_keys.iter().enumerate() {
-                    f(RowKey::Entity(e as usize), &self.g_ent_slab[s * self.ent_row_len..][..self.ent_row_len]);
-                }
-                for (s, &r) in self.g_rel_keys.iter().enumerate() {
-                    f(RowKey::Relation(r as usize), &self.g_rel_slab[s * self.rel_row_len..][..self.rel_row_len]);
-                }
-            }
+        for (s, &e) in self.g_ent_keys.iter().enumerate() {
+            f(RowKey::Entity(e as usize), &self.g_ent_slab[s * self.ent_row_len..][..self.ent_row_len]);
+        }
+        for (s, &r) in self.g_rel_keys.iter().enumerate() {
+            f(RowKey::Relation(r as usize), &self.g_rel_slab[s * self.rel_row_len..][..self.rel_row_len]);
         }
     }
 
-    /// Borrowed view of the blocked path's merged result for the fused
-    /// step/project pass; `None` on the legacy path.
+    /// Borrowed view of the sampled path's merged result for the fused
+    /// step/project pass; `None` after a k-vs-all batch.
     ///
     /// The key lists are slot-interned, so each entity (and each relation)
     /// appears exactly once — the property that lets the fused pass hand
     /// disjoint key ranges to different workers without row aliasing.
     pub(crate) fn blocked_parts(&self) -> Option<BlockedParts<'_>> {
-        if self.kv_mode {
-            return None;
-        }
-        match self.path {
-            GradPath::Legacy => None,
-            GradPath::Blocked => Some(BlockedParts {
-                ent_keys: &self.g_ent_keys,
-                ent_slab: &self.g_ent_slab,
-                rel_keys: &self.g_rel_keys,
-                rel_slab: &self.g_rel_slab,
-                ent_row_len: self.ent_row_len,
-                rel_row_len: self.rel_row_len,
-            }),
-        }
+        (!self.kv_mode).then(|| BlockedParts {
+            ent_keys: &self.g_ent_keys,
+            ent_slab: &self.g_ent_slab,
+            rel_keys: &self.g_rel_keys,
+            rel_slab: &self.g_rel_slab,
+            ent_row_len: self.ent_row_len,
+            rel_row_len: self.rel_row_len,
+        })
     }
 
     /// Borrowed view of the k-vs-all result for the dense fused
@@ -2290,24 +1555,21 @@ impl GradWorkspace {
                     .map(|s| &self.g_rel_slab[s * self.rel_row_len..][..self.rel_row_len]),
             };
         }
-        match self.path {
-            GradPath::Legacy => self.rows.get(&key).map(Vec::as_slice),
-            GradPath::Blocked => match key {
-                RowKey::Entity(e) => self
-                    .g_ent
-                    .lookup(e, self.epoch)
-                    .map(|s| &self.g_ent_slab[s * self.ent_row_len..][..self.ent_row_len]),
-                RowKey::Relation(r) => self
-                    .g_rel
-                    .lookup(r, self.epoch)
-                    .map(|s| &self.g_rel_slab[s * self.rel_row_len..][..self.rel_row_len]),
-            },
+        match key {
+            RowKey::Entity(e) => self
+                .g_ent
+                .lookup(e, self.epoch)
+                .map(|s| &self.g_ent_slab[s * self.ent_row_len..][..self.ent_row_len]),
+            RowKey::Relation(r) => self
+                .g_rel
+                .lookup(r, self.epoch)
+                .map(|s| &self.g_rel_slab[s * self.rel_row_len..][..self.rel_row_len]),
         }
     }
 
     /// Visits every touched row in sorted [`RowKey`] order — the order
-    /// the trainer uses for its grad-norm sum, so observability output is
-    /// identical on both paths.
+    /// the trainer uses for its grad-norm sum, so observability output
+    /// does not depend on slot order.
     pub fn for_each_row_sorted(&mut self, mut f: impl FnMut(RowKey, &[f32])) {
         let mut keys = std::mem::take(&mut self.sorted_keys);
         keys.clear();
@@ -2322,7 +1584,7 @@ impl GradWorkspace {
     }
 }
 
-/// Borrowed view of the blocked path's merged gradients: slot-interned
+/// Borrowed view of the sampled path's merged gradients: slot-interned
 /// key lists (each key unique, first-touch order) plus the flat slabs
 /// they index, as consumed by the trainer's fused step/project pass.
 pub(crate) struct BlockedParts<'a> {
@@ -2402,37 +1664,13 @@ fn merge_slabs(
     }
 }
 
-/// One-shot legacy-path computation: per-row embedding gradients, the
-/// dense effective-ω gradient, and the total loss for a labeled batch.
-///
-/// For [`LossKind::MarginRanking`], `examples` must be grouped as
-/// `[positive, neg₁, …, neg_k]` repeating with stride `group_len`.
-///
-/// The trainer drives a pooled [`GradWorkspace`] instead; this wrapper is
-/// the stable reference surface for the cross-path parity tests.
-pub fn compute_batch_grads(
-    model: &MultiEmbedModel,
-    examples: &[(Triple, Label)],
-    l2_coef: f32,
-    loss_kind: LossKind,
-    group_len: usize,
-) -> (RowGrads, Vec<f32>, f64) {
-    let mut ws = GradWorkspace::new(GradPath::Legacy);
-    let loss = ws.compute(model, examples, l2_coef, loss_kind, group_len, None);
-    let mut rows: RowGrads = HashMap::new();
-    ws.for_each_row(|k, g| {
-        rows.insert(k, g.to_vec());
-    });
-    (rows, ws.omega_grads().to_vec(), loss)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ModelConfig;
     use crate::weights::{WeightPreset, WeightRestriction};
     use mei_kg::TripleStore;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2491,34 +1729,6 @@ mod tests {
     }
 
     #[test]
-    fn both_paths_agree_bitwise_on_a_toy_batch() {
-        let model = toy_model(7);
-        let batch = toy_batch();
-        for loss_kind in [LossKind::Logistic, LossKind::MarginRanking { margin: 1.0 }] {
-            let (rows, omega, loss) = compute_batch_grads(&model, &batch, 0.01, loss_kind, 2);
-            let mut ws = GradWorkspace::new(GradPath::Blocked);
-            let blocked_loss = ws.compute(&model, &batch, 0.01, loss_kind, 2, None);
-            assert_eq!(loss.to_bits(), blocked_loss.to_bits(), "{loss_kind:?} loss");
-            let mut seen = 0usize;
-            ws.for_each_row(|k, g| {
-                let legacy = rows.get(&k).unwrap_or_else(|| panic!("{loss_kind:?}: unexpected row {k:?}"));
-                assert_eq!(
-                    legacy.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{loss_kind:?} row {k:?}"
-                );
-                seen += 1;
-            });
-            assert_eq!(seen, rows.len(), "{loss_kind:?}: row sets differ");
-            assert_eq!(
-                omega.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                ws.omega_grads().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{loss_kind:?} omega"
-            );
-        }
-    }
-
-    #[test]
     fn workspace_results_are_stable_across_reuse() {
         // Recycled scratch must not leak one batch's values into the next:
         // computing A, then B, then A again must reproduce A's bits.
@@ -2528,23 +1738,21 @@ mod tests {
             (Triple::new(6, 2, 1), Label::Positive),
             (Triple::new(6, 0, 1), Label::Negative),
         ];
-        for path in [GradPath::Legacy, GradPath::Blocked] {
-            let mut ws = GradWorkspace::new(path);
-            let loss_first = ws.compute(&model, &batch_a, 0.01, LossKind::Logistic, 2, None);
-            let mut first: Vec<(RowKey, Vec<u32>)> = Vec::new();
-            ws.for_each_row_sorted(|k, g| first.push((k, g.iter().map(|v| v.to_bits()).collect())));
-            ws.compute(&model, &batch_b, 0.01, LossKind::Logistic, 2, None);
-            let loss_again = ws.compute(&model, &batch_a, 0.01, LossKind::Logistic, 2, None);
-            let mut again: Vec<(RowKey, Vec<u32>)> = Vec::new();
-            ws.for_each_row_sorted(|k, g| again.push((k, g.iter().map(|v| v.to_bits()).collect())));
-            assert_eq!(loss_first.to_bits(), loss_again.to_bits(), "{path:?}");
-            assert_eq!(first, again, "{path:?}");
-        }
+        let mut ws = GradWorkspace::new();
+        let loss_first = ws.compute(&model, &batch_a, 0.01, LossKind::Logistic, 2, None);
+        let mut first: Vec<(RowKey, Vec<u32>)> = Vec::new();
+        ws.for_each_row_sorted(|k, g| first.push((k, g.iter().map(|v| v.to_bits()).collect())));
+        ws.compute(&model, &batch_b, 0.01, LossKind::Logistic, 2, None);
+        let loss_again = ws.compute(&model, &batch_a, 0.01, LossKind::Logistic, 2, None);
+        let mut again: Vec<(RowKey, Vec<u32>)> = Vec::new();
+        ws.for_each_row_sorted(|k, g| again.push((k, g.iter().map(|v| v.to_bits()).collect())));
+        assert_eq!(loss_first.to_bits(), loss_again.to_bits());
+        assert_eq!(first, again);
     }
 
     #[test]
     fn results_are_thread_count_independent() {
-        // Same batch, same path, different worker counts ⇒ identical bits.
+        // Same batch, different worker counts ⇒ identical bits.
         // The batch is large enough that chunk_len yields many chunks, so
         // the pool actually runs work concurrently when threads > 1.
         let model = toy_model(13);
@@ -2553,21 +1761,17 @@ mod tests {
             batch.push((Triple::new(i % 9, (i + 3) % 9, i % 3), Label::Positive));
             batch.push((Triple::new(i % 9, (i + 5) % 9, i % 3), Label::Negative));
         }
-        for path in [GradPath::Legacy, GradPath::Blocked] {
-            let gather = |threads: usize| {
-                let mut ws = GradWorkspace::with_threads(path, threads);
-                let loss = ws.compute(&model, &batch, 0.01, LossKind::Logistic, 2, None);
-                let mut rows: Vec<(RowKey, Vec<u32>)> = Vec::new();
-                ws.for_each_row_sorted(|k, g| {
-                    rows.push((k, g.iter().map(|v| v.to_bits()).collect()))
-                });
-                let omega: Vec<u32> = ws.omega_grads().iter().map(|v| v.to_bits()).collect();
-                (loss.to_bits(), rows, omega)
-            };
-            let base = gather(1);
-            for threads in [2, 3, 8] {
-                assert_eq!(base, gather(threads), "{path:?} with {threads} threads");
-            }
+        let gather = |threads: usize| {
+            let mut ws = GradWorkspace::with_threads(threads);
+            let loss = ws.compute(&model, &batch, 0.01, LossKind::Logistic, 2, None);
+            let mut rows: Vec<(RowKey, Vec<u32>)> = Vec::new();
+            ws.for_each_row_sorted(|k, g| rows.push((k, g.iter().map(|v| v.to_bits()).collect())));
+            let omega: Vec<u32> = ws.omega_grads().iter().map(|v| v.to_bits()).collect();
+            (loss.to_bits(), rows, omega)
+        };
+        let base = gather(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(base, gather(threads), "{threads} threads");
         }
     }
 
@@ -2575,51 +1779,89 @@ mod tests {
     fn sorted_iteration_is_sorted_and_complete() {
         let model = toy_model(3);
         let batch = toy_batch();
-        let mut ws = GradWorkspace::new(GradPath::Blocked);
+        let mut ws = GradWorkspace::new();
         ws.compute(&model, &batch, 0.0, LossKind::Logistic, 2, None);
         let mut keys = Vec::new();
         ws.for_each_row_sorted(|k, _| keys.push(k));
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "not strictly ascending: {keys:?}");
         let mut unordered = 0usize;
         ws.for_each_row(|_, _| unordered += 1);
         assert_eq!(keys.len(), unordered);
     }
 
-    /// The full kvsall backward (pass A + scatter + pass B + anchor fold)
-    /// against central finite differences of the returned loss over every
-    /// entity and relation parameter, with and without label smoothing.
+    /// The full kvsall backward (pass A + scatter + pass B + anchor fold,
+    /// and the γ/β gradients under batch norm) against central finite
+    /// differences of the returned loss over every entity, relation and
+    /// norm parameter: every regularizer off (with and without label
+    /// smoothing), each one alone, and all three together, with the
+    /// dropout masks fixed by one seed.
     #[test]
     fn kvsall_grads_match_finite_differences() {
         use mei_autodiff::finite_difference_gradient;
+        // The loss is computed in f32: a central-difference step near
+        // ε_f32^(1/3) balances truncation against rounding error.
+        const FD_STEP: f64 = 5e-3;
         let (queries, targets) = kv_queries_and_targets();
-        for ls in [0.0f32, 0.1] {
-            let model = toy_model(17);
+        let off = KvRegConfig { mask_seed: 0x5eed, ..KvRegConfig::default() };
+        let cases = [
+            ("off", 0.0f32, off),
+            ("off, smoothed", 0.1, off),
+            ("input dropout", 0.1, KvRegConfig { input_dropout: 0.3, ..off }),
+            ("context dropout", 0.1, KvRegConfig { dropout: 0.3, ..off }),
+            ("batch norm", 0.1, KvRegConfig { batch_norm: true, ..off }),
+            (
+                "all three",
+                0.1,
+                KvRegConfig { dropout: 0.3, input_dropout: 0.3, batch_norm: true, ..off },
+            ),
+        ];
+        for (name, ls, reg) in cases {
+            // γ/β away from the identity, so they carry weight in the check.
+            let build = || {
+                let mut m = toy_model(17);
+                if reg.batch_norm {
+                    m.enable_interaction_norm(0.1, 1e-5);
+                    let nrm = m.interaction_norm_mut().expect("just enabled");
+                    for (f, (g, b)) in nrm.gamma.iter_mut().zip(&mut nrm.beta).enumerate() {
+                        *g = 1.0 + 0.3 * (f as f32).sin();
+                        *b = 0.1 * (f as f32).cos();
+                    }
+                }
+                m
+            };
+            let model = build();
             let ent_row_len = model.entities.row_len();
             let rel_row_len = model.relations.row_len();
             let ne_floats = model.entities.len();
+            let nr_floats = model.relations.len();
+            let norm = model.interaction_norm();
             let base: Vec<f64> = model
                 .entities
                 .as_slice()
                 .iter()
                 .chain(model.relations.as_slice())
+                .chain(norm.map_or(&[][..], |n| &n.gamma))
+                .chain(norm.map_or(&[][..], |n| &n.beta))
                 .map(|&v| f64::from(v))
                 .collect();
             let f = |x: &[f64]| {
-                let mut m = toy_model(17);
-                for (dst, &src) in m.entities.as_mut_slice().iter_mut().zip(&x[..ne_floats]) {
+                let mut m = build();
+                let (ents, rest) = x.split_at(ne_floats);
+                let (rels, norm) = rest.split_at(nr_floats);
+                let params = m.entities.as_mut_slice().iter_mut().chain(m.relations.as_mut_slice());
+                for (dst, &src) in params.zip(ents.iter().chain(rels)) {
                     *dst = src as f32;
                 }
-                for (dst, &src) in m.relations.as_mut_slice().iter_mut().zip(&x[ne_floats..]) {
-                    *dst = src as f32;
+                if let Some(nrm) = m.interaction_norm_mut() {
+                    for (dst, &src) in nrm.gamma.iter_mut().chain(&mut nrm.beta).zip(norm) {
+                        *dst = src as f32;
+                    }
                 }
-                let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
-                ws.compute_kvsall(&m, &queries, &targets, 0.0, ls, None)
+                GradWorkspace::with_threads(1).compute_kvsall(&m, &queries, &targets, 0.0, ls, &reg, None)
             };
-            let fd = finite_difference_gradient(f, &base, 1e-3);
-            let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 1);
-            ws.compute_kvsall(&model, &queries, &targets, 0.0, ls, None);
+            let fd = finite_difference_gradient(f, &base, FD_STEP);
+            let mut ws = GradWorkspace::with_threads(1);
+            ws.compute_kvsall(&model, &queries, &targets, 0.0, ls, &reg, None);
             let mut analytic = vec![0.0f64; base.len()];
             ws.for_each_row(|k, g| {
                 let off = match k {
@@ -2630,10 +1872,16 @@ mod tests {
                     analytic[off + i] = f64::from(v);
                 }
             });
+            if reg.batch_norm {
+                let (ggamma, gbeta) = ws.reg_norm_grads();
+                for (dst, &v) in analytic[ne_floats + nr_floats..].iter_mut().zip(ggamma.iter().chain(gbeta)) {
+                    *dst = f64::from(v);
+                }
+            }
             for (i, (&a, &n)) in analytic.iter().zip(&fd).enumerate() {
                 assert!(
                     (a - n).abs() < 3e-3 * (1.0 + n.abs()),
-                    "ls={ls}: param {i}: analytic {a} vs fd {n}"
+                    "{name} (ls={ls}): param {i}: analytic {a} vs fd {n}"
                 );
             }
         }
@@ -2750,8 +1998,8 @@ mod tests {
             }
         }
 
-        let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 2);
-        let loss = ws.compute_kvsall(&model, &queries, &targets, l2_coef, ls, None);
+        let mut ws = GradWorkspace::with_threads(2);
+        let loss = ws.compute_kvsall(&model, &queries, &targets, l2_coef, ls, &KvRegConfig::default(), None);
         assert!((loss - loss_ref).abs() < 1e-6 * (1.0 + loss_ref.abs()));
         let mut visited = 0usize;
         ws.for_each_row(|k, g| {
@@ -2775,25 +2023,33 @@ mod tests {
     }
 
     /// kvsall results are bit-identical across worker counts, fixed and
-    /// learned ω.
+    /// learned ω, with every regularizer off and with all of them on.
     #[test]
     fn kvsall_results_are_thread_count_independent() {
         let (queries, targets) = kv_queries_and_targets();
+        let all_on = KvRegConfig { dropout: 0.2, input_dropout: 0.1, batch_norm: true, mask_seed: 3 };
         for learned in [false, true] {
-            let model = if learned { learned_toy_model(19) } else { toy_model(19) };
-            let gather = |threads: usize| {
-                let mut ws = GradWorkspace::with_threads(GradPath::Blocked, threads);
-                let loss = ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, None);
-                let mut rows: Vec<(RowKey, Vec<u32>)> = Vec::new();
-                ws.for_each_row_sorted(|k, g| {
-                    rows.push((k, g.iter().map(|v| v.to_bits()).collect()))
-                });
-                let omega: Vec<u32> = ws.omega_grads().iter().map(|v| v.to_bits()).collect();
-                (loss.to_bits(), rows, omega)
-            };
-            let base = gather(1);
-            for threads in [2, 3, 8] {
-                assert_eq!(base, gather(threads), "learned={learned} threads={threads}");
+            for reg in [KvRegConfig::default(), all_on] {
+                let mut model = if learned { learned_toy_model(19) } else { toy_model(19) };
+                if reg.batch_norm {
+                    model.enable_interaction_norm(0.1, 1e-5);
+                }
+                let gather = |threads: usize| {
+                    let mut ws = GradWorkspace::with_threads(threads);
+                    let loss = ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, &reg, None);
+                    let mut rows: Vec<(RowKey, Vec<u32>)> = Vec::new();
+                    ws.for_each_row_sorted(|k, g| {
+                        rows.push((k, g.iter().map(|v| v.to_bits()).collect()))
+                    });
+                    let omega: Vec<u32> = ws.omega_grads().iter().map(|v| v.to_bits()).collect();
+                    let (ggamma, gbeta) = ws.reg_norm_grads();
+                    let norm: Vec<u32> = ggamma.iter().chain(gbeta).map(|v| v.to_bits()).collect();
+                    (loss.to_bits(), rows, omega, norm)
+                };
+                let base = gather(1);
+                for threads in [2, 3, 8] {
+                    assert_eq!(base, gather(threads), "learned={learned} reg={reg:?} threads={threads}");
+                }
             }
         }
     }
@@ -2805,9 +2061,9 @@ mod tests {
         let model = toy_model(11);
         let (queries, targets) = kv_queries_and_targets();
         let batch = toy_batch();
-        let mut ws = GradWorkspace::with_threads(GradPath::Blocked, 2);
+        let mut ws = GradWorkspace::with_threads(2);
         let gather_kv = |ws: &mut GradWorkspace| {
-            let loss = ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, None);
+            let loss = ws.compute_kvsall(&model, &queries, &targets, 0.01, 0.1, &KvRegConfig::default(), None);
             let mut rows: Vec<(RowKey, Vec<u32>)> = Vec::new();
             ws.for_each_row_sorted(|k, g| rows.push((k, g.iter().map(|v| v.to_bits()).collect())));
             (loss.to_bits(), rows)
@@ -2818,7 +2074,7 @@ mod tests {
         assert_eq!(first, again, "kvsall bits changed after an interleaved negative batch");
         // The negative path through recycled kvsall scratch must match a
         // fresh workspace bitwise.
-        let mut fresh = GradWorkspace::with_threads(GradPath::Blocked, 2);
+        let mut fresh = GradWorkspace::with_threads(2);
         let fresh_loss = fresh.compute(&model, &batch, 0.01, LossKind::Logistic, 2, None);
         assert_eq!(neg_loss.to_bits(), fresh_loss.to_bits());
         let mut a: Vec<(RowKey, Vec<u32>)> = Vec::new();

@@ -50,7 +50,7 @@ pub mod weights;
 
 pub use checkpoint::{load_checkpoint, save_checkpoint, TrainCheckpoint};
 pub use embedding::EmbeddingTable;
-pub use grads::{compute_batch_grads, GradPath, GradWorkspace, KvQuery, KvRegConfig, RowKey};
+pub use grads::{GradPath, GradWorkspace, KvQuery, KvRegConfig, RowKey};
 pub use model::{BlockTermShape, InteractionNorm, ModelConfig, MultiEmbedModel};
 pub use trainer::{LossKind, LrDecayMode, SamplingStrategy, TrainConfig, TrainReport, Trainer};
 pub use weights::{WeightPreset, WeightRestriction, WeightVector};

@@ -22,7 +22,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::checkpoint::{save_checkpoint, BestSnapshot, TrainCheckpoint};
 use crate::embedding::EmbeddingTable;
-use crate::grads::{GradPath, GradWorkspace, KvQuery, KvRegConfig, RowKey};
+use crate::grads::{GradPath, GradWorkspace, KvQuery, KvRegConfig};
 use crate::loss::Label;
 use crate::model::MultiEmbedModel;
 use crate::regularizer::DirichletRegularizer;
@@ -150,9 +150,9 @@ pub struct TrainConfig {
     /// Where the latest checkpoint lives. Each write atomically replaces
     /// the previous one, so the file is always a complete checkpoint.
     pub checkpoint_path: Option<std::path::PathBuf>,
-    /// Gradient machinery. Both paths produce bit-identical runs (same
-    /// JSONL metrics, same final parameters — checkpoints taken under one
-    /// path resume under the other); [`GradPath::Blocked`] is faster.
+    /// Inert: negative sampling has a single gradient implementation, so
+    /// [`GradPath`] has one value and this field selects nothing. It stays
+    /// so that configurations naming it still build.
     pub grad_path: GradPath,
     /// Worker threads for gradient computation, the cross-chunk merge,
     /// and the fused step/project pass (`0` = all available cores).
@@ -303,17 +303,26 @@ impl Trainer {
         let cp_model = &checkpoint.model;
         let omega_params =
             if cp_model.trainable_omega() { cp_model.raw_omega().dense().len() } else { 0 };
-        if self.config.batch_norm && cp_model.interaction_norm().is_none() {
-            return Err(SerializeError::Format(
-                "config asks for batch_norm but the checkpoint model carries no interaction norm"
-                    .to_owned(),
-            ));
+        // A model carries an interaction norm exactly when it trains with
+        // batch norm (see `run`).
+        match (self.config.batch_norm, cp_model.interaction_norm().is_some()) {
+            (true, false) => {
+                return Err(SerializeError::Format(
+                    "config asks for batch_norm but the checkpoint model carries no interaction \
+                     norm"
+                        .to_owned(),
+                ))
+            }
+            (false, true) => {
+                return Err(SerializeError::Format(
+                    "the checkpoint model carries an interaction norm but the config has \
+                     batch_norm off"
+                        .to_owned(),
+                ))
+            }
+            _ => {}
         }
-        let norm_params = if self.config.batch_norm {
-            cp_model.interaction_norm().map_or(0, |nrm| 2 * nrm.kdim())
-        } else {
-            0
-        };
+        let norm_params = cp_model.interaction_norm().map_or(0, |nrm| 2 * nrm.kdim());
         let expected =
             cp_model.entities.len() + cp_model.relations.len() + omega_params + norm_params;
         if checkpoint.optimizer.len != expected {
@@ -386,15 +395,25 @@ impl Trainer {
             (0.0..1.0).contains(&cfg.dropout) && (0.0..1.0).contains(&cfg.input_dropout),
             "dropout probabilities must lie in [0, 1)"
         );
-        let reg_active = cfg.dropout > 0.0 || cfg.input_dropout > 0.0 || cfg.batch_norm;
+        let kv_reg = KvRegConfig {
+            dropout: cfg.dropout,
+            input_dropout: cfg.input_dropout,
+            batch_norm: cfg.batch_norm,
+            mask_seed: 0,
+        };
         assert!(
-            !reg_active || cfg.sampling == SamplingStrategy::KvsAll,
+            !kv_reg.is_active() || cfg.sampling == SamplingStrategy::KvsAll,
             "dropout/batch_norm regularizers require SamplingStrategy::KvsAll"
         );
         assert!(
             cfg.dirichlet.is_none() || model.block_term_shape().is_none(),
             "the Dirichlet ω regularizer is incompatible with block-term models: its gradient \
              would touch off-support ω cells"
+        );
+        assert!(
+            cfg.batch_norm || model.interaction_norm().is_none(),
+            "the model carries an interaction norm but batch_norm is off: scoring would apply \
+             the norm's running statistics while the gradients differentiate the raw context"
         );
         if cfg.batch_norm && model.interaction_norm().is_none() {
             model.enable_interaction_norm(0.1, 1e-5);
@@ -480,9 +499,8 @@ impl Trainer {
         let mut stopped_early = false;
 
         // All per-batch gradient scratch lives in the workspace and is
-        // recycled across batches; both paths are bit-identical, so the
-        // choice never shows up in metrics or parameters.
-        let mut workspace = GradWorkspace::with_threads(cfg.grad_path, cfg.threads);
+        // recycled across batches.
+        let mut workspace = GradWorkspace::with_threads(cfg.threads);
         let mut grad_raw_scratch = vec![0.0f32; omega_params];
         let mut norm_param_scratch = vec![0.0f32; norm_params];
         let mut norm_grad_scratch = vec![0.0f32; norm_params];
@@ -530,32 +548,19 @@ impl Trainer {
                     // batch mask seed); plain batches draw none — each
                     // regime's stream stays in lockstep with its own
                     // checkpoints.
-                    let loss = if reg_active {
-                        let reg = KvRegConfig {
-                            dropout: cfg.dropout,
-                            input_dropout: cfg.input_dropout,
-                            batch_norm: cfg.batch_norm,
-                            mask_seed: rng.next_u64(),
-                        };
-                        workspace.compute_kvsall_reg(
-                            model,
-                            &queries,
-                            targets,
-                            l2_coef,
-                            label_smooth,
-                            &reg,
-                            observing.then_some(&mut phases),
-                        )
-                    } else {
-                        workspace.compute_kvsall(
-                            model,
-                            &queries,
-                            targets,
-                            l2_coef,
-                            label_smooth,
-                            observing.then_some(&mut phases),
-                        )
+                    let reg = KvRegConfig {
+                        mask_seed: if kv_reg.is_active() { rng.next_u64() } else { 0 },
+                        ..kv_reg
                     };
+                    let loss = workspace.compute_kvsall(
+                        model,
+                        &queries,
+                        targets,
+                        l2_coef,
+                        label_smooth,
+                        &reg,
+                        observing.then_some(&mut phases),
+                    );
                     epoch_examples += queries.len();
                     loss
                 } else {
@@ -621,8 +626,7 @@ impl Trainer {
                     // Full-softmax batches touch every entity row (the
                     // softmax gives all candidates gradient mass), so the
                     // step walks the dense entity slab plus the sparse
-                    // relation rows. There is only one implementation —
-                    // `grad_path` selects nothing on this branch.
+                    // relation rows.
                     crate::fused::fused_step_project_kvsall(
                         model,
                         &workspace,
@@ -664,36 +668,18 @@ impl Trainer {
                         }
                     }
                 } else {
-                    match cfg.grad_path {
-                        // The blocked path takes the fused step+project
-                        // pass: one sweep over the touched rows, sharded
-                        // across the worker pool, with the unit-sphere
-                        // projection applied right after each entity row's
-                        // update. Timed entirely under "step" (the separate
-                        // "project" phase is 0).
-                        GradPath::Blocked => crate::fused::fused_step_project(
-                            model,
-                            &workspace,
-                            optimizer.as_mut(),
-                            cfg.unit_norm_entities,
-                            ent_params,
-                            workspace.threads(),
-                        ),
-                        // The legacy path keeps the original two-pass tail
-                        // (step all rows here, project below) as the living
-                        // reference sequence; the parity suite proves the
-                        // fused pass bit-identical to it.
-                        GradPath::Legacy => workspace.for_each_row(|row, grad| match row {
-                            RowKey::Entity(e) => {
-                                let offset = model.entities.row_offset(e);
-                                optimizer.update(offset, model.entities.row_mut(e), grad);
-                            }
-                            RowKey::Relation(r) => {
-                                let offset = ent_params + model.relations.row_offset(r);
-                                optimizer.update(offset, model.relations.row_mut(r), grad);
-                            }
-                        }),
-                    }
+                    // One sweep over the touched rows, sharded across the
+                    // worker pool, with the unit-sphere projection applied
+                    // right after each entity row's update. Timed entirely
+                    // under "step" (the separate "project" phase is 0).
+                    crate::fused::fused_step_project(
+                        model,
+                        &workspace,
+                        optimizer.as_mut(),
+                        cfg.unit_norm_entities,
+                        ent_params,
+                        workspace.threads(),
+                    );
                 }
                 if let Some(t0) = span {
                     phases.step += t0.elapsed().as_secs_f64();
@@ -720,23 +706,6 @@ impl Trainer {
                     model.refresh_omega();
                     if let Some(t0) = span {
                         phases.step += t0.elapsed().as_secs_f64();
-                    }
-                }
-
-                if cfg.unit_norm_entities
-                    && cfg.grad_path == GradPath::Legacy
-                    && kv_targets.is_none()
-                {
-                    // (kvsall always projects inside its fused pass.)
-                    // Blocked runs already projected inside the fused pass.
-                    let span = observing.then(Instant::now);
-                    workspace.for_each_row(|row, _| {
-                        if let RowKey::Entity(e) = row {
-                            model.entities.normalize_item(e);
-                        }
-                    });
-                    if let Some(t0) = span {
-                        phases.project += t0.elapsed().as_secs_f64();
                     }
                 }
             }
@@ -1271,6 +1240,23 @@ mod tests {
         let mut cfg = quick_config();
         cfg.sampling = SamplingStrategy::KvsAll; // loss left Logistic
         Trainer::new(cfg).train(&mut model, &ds, &filter);
+    }
+
+    #[test]
+    #[should_panic(expected = "carries an interaction norm but batch_norm is off")]
+    fn a_norm_without_batch_norm_is_rejected() {
+        let ds = ring_dataset();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut model = MultiEmbedModel::from_preset(
+            WeightPreset::ComplEx,
+            ds.num_entities(),
+            ds.num_relations(),
+            4,
+            &mut rng,
+        );
+        model.enable_interaction_norm(0.1, 1e-5);
+        let filter = ds.filter_store();
+        Trainer::new(kvsall_config()).train(&mut model, &ds, &filter);
     }
 
     #[test]

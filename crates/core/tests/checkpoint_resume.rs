@@ -20,7 +20,7 @@ use std::sync::Arc;
 use mei_core::checkpoint::{checkpoint_from_bytes, load_checkpoint};
 use mei_core::model::MultiEmbedModel;
 use mei_core::serialize::SerializeError;
-use mei_core::trainer::{TrainConfig, Trainer};
+use mei_core::trainer::{LossKind, SamplingStrategy, TrainConfig, Trainer};
 use mei_core::weights::WeightPreset;
 use mei_kg::{Dataset, Dictionary, Triple};
 use mei_obs::{EpochRecord, EvalRecord, JsonlObserver, RunSummary, TrainObserver};
@@ -179,10 +179,15 @@ fn killed_and_resumed_run_is_bitwise_identical_to_uninterrupted() {
 
 /// Produces a real on-disk checkpoint from a short training run.
 fn write_real_checkpoint(dir: &std::path::Path) -> PathBuf {
+    write_checkpoint(dir, config())
+}
+
+/// Trains the ring for 6 epochs under `cfg` and checkpoints once, at
+/// epoch 5.
+fn write_checkpoint(dir: &std::path::Path, mut cfg: TrainConfig) -> PathBuf {
     let ds = ring_dataset();
     let filter = ds.filter_store();
     let ckpt = dir.join("victim.ckpt");
-    let mut cfg = config();
     cfg.max_epochs = 6;
     cfg.checkpoint_every = 5; // single checkpoint at epoch 5
     cfg.checkpoint_path = Some(ckpt.clone());
@@ -273,4 +278,40 @@ fn resume_rejects_mismatched_dataset_and_optimizer() {
     assert!(err.to_string().contains("optimizer"), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The checkpoint model must carry an interaction norm exactly when the
+/// resuming config asks for batch norm; either mismatch is an error, not
+/// a panic mid-run. A batch-norm checkpoint's optimizer covers the norm,
+/// so only the norm check catches the second case.
+#[test]
+fn resume_rejects_a_norm_mismatch_with_batch_norm() {
+    let dir = scratch_dir("normmismatch");
+    let bn_dir = scratch_dir("normmismatch_bn");
+    let ds = ring_dataset();
+    let filter = ds.filter_store();
+    let mut model = fresh_model(1, &ds);
+
+    let cp = load_checkpoint(write_real_checkpoint(&dir)).unwrap();
+    let mut cfg = config();
+    cfg.batch_norm = true;
+    let err = Trainer::new(cfg)
+        .resume(&mut model, &ds, &filter, cp)
+        .expect_err("batch_norm without a checkpointed norm must be rejected");
+    assert!(err.to_string().contains("carries no interaction norm"), "{err}");
+
+    let mut bn_cfg = config();
+    bn_cfg.sampling = SamplingStrategy::KvsAll;
+    bn_cfg.loss = LossKind::SoftmaxCrossEntropy { label_smooth: 0.1 };
+    bn_cfg.batch_norm = true;
+    let cp = load_checkpoint(write_checkpoint(&bn_dir, bn_cfg.clone())).unwrap();
+    assert!(cp.model.interaction_norm().is_some());
+    bn_cfg.batch_norm = false;
+    let err = Trainer::new(bn_cfg)
+        .resume(&mut model, &ds, &filter, cp)
+        .expect_err("a checkpointed norm without batch_norm must be rejected");
+    assert!(err.to_string().contains("batch_norm off"), "{err}");
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&bn_dir).ok();
 }

@@ -4,9 +4,8 @@
 //! path (DESIGN.md §12): for every worker count the kvsall trainer must
 //! produce the **byte-identical** run — same final parameters, same
 //! optimizer moments (compared through the serialized checkpoint), same
-//! JSONL metrics stream — as the 1-thread run, with fixed and learned ω,
-//! under both `grad_path` settings (which select nothing on the kvsall
-//! branch and must therefore be indistinguishable). And a checkpoint
+//! JSONL metrics stream — as the 1-thread run, with fixed and learned ω.
+//! And a checkpoint
 //! written mid-run at T workers must resume at any other worker count and
 //! land bit-identical to the run that was never interrupted.
 //!
@@ -20,7 +19,6 @@ use mei_core::checkpoint::load_checkpoint;
 use mei_core::model::{ModelConfig, MultiEmbedModel};
 use mei_core::trainer::{LossKind, LrDecayMode, SamplingStrategy, TrainConfig, Trainer};
 use mei_core::weights::{WeightPreset, WeightRestriction};
-use mei_core::GradPath;
 use mei_kg::{Dataset, Dictionary, Triple};
 use mei_obs::{EpochRecord, EvalRecord, JsonlObserver, RunSummary, TrainObserver};
 use proptest::prelude::*;
@@ -59,7 +57,7 @@ fn thread_counts() -> Vec<usize> {
 
 /// k-vs-all training on the ring, with per-epoch lr decay switched on so
 /// the parity matrix also covers the exponential schedule.
-fn base_config(path: GradPath, seed: u64) -> TrainConfig {
+fn base_config(seed: u64) -> TrainConfig {
     TrainConfig {
         max_epochs: 5,
         batch_size: 8,
@@ -71,7 +69,6 @@ fn base_config(path: GradPath, seed: u64) -> TrainConfig {
         eval_every: 2,
         patience: 100,
         seed,
-        grad_path: path,
         ..TrainConfig::default()
     }
 }
@@ -185,41 +182,23 @@ fn assert_same_run(a: &RunOutput, b: &RunOutput, what: &str) {
     );
 }
 
-/// The kvsall matrix: threads × grad path × fixed/learned ω. Every cell
-/// must be byte-identical to the 1-thread run of the same ω configuration
-/// (the kvsall branch has a single implementation, so `grad_path` must be
-/// observationally irrelevant).
+/// The kvsall matrix: threads × fixed/learned ω. Every cell must be
+/// byte-identical to the 1-thread run of the same ω configuration.
 #[test]
-fn kvsall_matrix_is_bitwise_identical_across_threads_paths_and_omega() {
+fn kvsall_matrix_is_bitwise_identical_across_threads_and_omega() {
     let ds = ring_dataset();
     let dir = scratch_dir("matrix");
     for learned_omega in [false, true] {
-        let reference = run_arm(
-            &ds,
-            &base_config(GradPath::Legacy, 11),
-            learned_omega,
-            1,
-            &dir,
-            &format!("ref_w{learned_omega}"),
-        );
-        for path in [GradPath::Legacy, GradPath::Blocked] {
-            for threads in thread_counts() {
-                let arm = run_arm(
-                    &ds,
-                    &base_config(path, 11),
-                    learned_omega,
-                    threads,
-                    &dir,
-                    &format!("arm_w{learned_omega}_{path:?}"),
-                );
-                assert_same_run(
-                    &reference,
-                    &arm,
-                    &format!(
-                        "kvsall learned_omega={learned_omega} path={path:?} threads={threads}"
-                    ),
-                );
-            }
+        let reference =
+            run_arm(&ds, &base_config(11), learned_omega, 1, &dir, &format!("ref_w{learned_omega}"));
+        for threads in thread_counts() {
+            let arm =
+                run_arm(&ds, &base_config(11), learned_omega, threads, &dir, &format!("arm_w{learned_omega}"));
+            assert_same_run(
+                &reference,
+                &arm,
+                &format!("kvsall learned_omega={learned_omega} threads={threads}"),
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -237,7 +216,7 @@ fn kvsall_checkpoint_resumes_bitwise_at_any_thread_count() {
     let dir = scratch_dir("resume");
     let ckpt = dir.join("victim.ckpt");
 
-    let mut cfg = base_config(GradPath::Blocked, 7);
+    let mut cfg = base_config(7);
     cfg.max_epochs = 6;
 
     // Uninterrupted 1-thread baseline.
@@ -330,22 +309,8 @@ proptest! {
     ) {
         let ds = ring_dataset();
         let dir = scratch_dir(&format!("prop_{seed}_{threads}_{learned_omega}"));
-        let reference = run_arm(
-            &ds,
-            &base_config(GradPath::Blocked, seed),
-            learned_omega,
-            1,
-            &dir,
-            "ref",
-        );
-        let arm = run_arm(
-            &ds,
-            &base_config(GradPath::Blocked, seed),
-            learned_omega,
-            threads,
-            &dir,
-            "arm",
-        );
+        let reference = run_arm(&ds, &base_config(seed), learned_omega, 1, &dir, "ref");
+        let arm = run_arm(&ds, &base_config(seed), learned_omega, threads, &dir, "arm");
         assert_same_run(
             &reference,
             &arm,

@@ -4,8 +4,8 @@
 //! and nothing else. For every worker count the trainer must produce the
 //! **byte-identical** run — same final parameters, same optimizer moments
 //! (compared through the serialized checkpoint, which carries them), same
-//! JSONL metrics stream — as the 1-thread run, on both gradient paths,
-//! under both loss kinds, with fixed and learned ω. And a checkpoint
+//! JSONL metrics stream — as the 1-thread run, under both loss kinds,
+//! with fixed and learned ω. And a checkpoint
 //! written by a run at T workers must resume at any other worker count
 //! and land bit-identical to the run that was never interrupted.
 //!
@@ -19,7 +19,6 @@ use mei_core::checkpoint::load_checkpoint;
 use mei_core::model::{ModelConfig, MultiEmbedModel};
 use mei_core::trainer::{LossKind, TrainConfig, Trainer};
 use mei_core::weights::{WeightPreset, WeightRestriction};
-use mei_core::GradPath;
 use mei_kg::{Dataset, Dictionary, Triple};
 use mei_obs::{EpochRecord, EvalRecord, JsonlObserver, RunSummary, TrainObserver};
 use proptest::prelude::*;
@@ -55,7 +54,7 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-fn base_config(loss: LossKind, path: GradPath, seed: u64) -> TrainConfig {
+fn base_config(loss: LossKind, seed: u64) -> TrainConfig {
     TrainConfig {
         max_epochs: 5,
         batch_size: 8,
@@ -64,7 +63,6 @@ fn base_config(loss: LossKind, path: GradPath, seed: u64) -> TrainConfig {
         patience: 100,
         seed,
         loss,
-        grad_path: path,
         ..TrainConfig::default()
     }
 }
@@ -183,44 +181,32 @@ fn assert_same_run(a: &RunOutput, b: &RunOutput, what: &str) {
 
 const LOSSES: [LossKind; 2] = [LossKind::Logistic, LossKind::MarginRanking { margin: 1.0 }];
 
-/// The full matrix: threads × grad path × loss kind × fixed/learned ω.
-/// Every cell must be byte-identical to the 1-thread **legacy** run of the
-/// same (loss, ω) configuration — one reference per configuration, so the
-/// test simultaneously proves thread-count independence and cross-path
-/// parity of the fused step/project pass against the two-pass original.
+/// The full matrix: threads × loss kind × fixed/learned ω. Every cell
+/// must be byte-identical to the 1-thread run of the same (loss, ω)
+/// configuration.
 #[test]
-fn full_matrix_is_bitwise_identical_across_threads_paths_losses_and_omega() {
+fn full_matrix_is_bitwise_identical_across_threads_losses_and_omega() {
     let ds = ring_dataset();
     let dir = scratch_dir("matrix");
     for (li, loss) in LOSSES.into_iter().enumerate() {
         for learned_omega in [false, true] {
-            let reference = run_arm(
-                &ds,
-                &base_config(loss, GradPath::Legacy, 11),
-                learned_omega,
-                1,
-                &dir,
-                &format!("ref_l{li}_w{learned_omega}"),
-            );
-            for path in [GradPath::Legacy, GradPath::Blocked] {
-                for threads in thread_counts() {
-                    let arm = run_arm(
-                        &ds,
-                        &base_config(loss, path, 11),
-                        learned_omega,
-                        threads,
-                        &dir,
-                        &format!("arm_l{li}_w{learned_omega}_{path:?}"),
-                    );
-                    assert_same_run(
-                        &reference,
-                        &arm,
-                        &format!(
-                            "loss={loss:?} learned_omega={learned_omega} \
-                             path={path:?} threads={threads}"
-                        ),
-                    );
-                }
+            let tag = format!("l{li}_w{learned_omega}");
+            let reference =
+                run_arm(&ds, &base_config(loss, 11), learned_omega, 1, &dir, &format!("ref_{tag}"));
+            for threads in thread_counts() {
+                let arm = run_arm(
+                    &ds,
+                    &base_config(loss, 11),
+                    learned_omega,
+                    threads,
+                    &dir,
+                    &format!("arm_{tag}"),
+                );
+                assert_same_run(
+                    &reference,
+                    &arm,
+                    &format!("loss={loss:?} learned_omega={learned_omega} threads={threads}"),
+                );
             }
         }
     }
@@ -239,7 +225,7 @@ fn checkpoint_written_at_t_threads_resumes_bitwise_at_any_thread_count() {
     let dir = scratch_dir("resume");
     let ckpt = dir.join("victim.ckpt");
 
-    let mut cfg = base_config(LossKind::Logistic, GradPath::Blocked, 7);
+    let mut cfg = base_config(LossKind::Logistic, 7);
     cfg.max_epochs = 6;
 
     // Uninterrupted 1-thread baseline.
@@ -322,8 +308,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Randomized corner of the matrix: arbitrary seeds and worker counts
-    /// (1..=9, beyond the fixed sweep) on the blocked path must still
-    /// reproduce the 1-thread legacy run byte for byte.
+    /// (2..=9, beyond the fixed sweep) must still reproduce the 1-thread
+    /// run byte for byte.
     #[test]
     fn random_seeds_and_thread_counts_stay_bitwise_identical(
         seed in 0u64..10_000,
@@ -331,22 +317,8 @@ proptest! {
     ) {
         let ds = ring_dataset();
         let dir = scratch_dir(&format!("prop_{seed}_{threads}"));
-        let reference = run_arm(
-            &ds,
-            &base_config(LossKind::Logistic, GradPath::Legacy, seed),
-            false,
-            1,
-            &dir,
-            "ref",
-        );
-        let arm = run_arm(
-            &ds,
-            &base_config(LossKind::Logistic, GradPath::Blocked, seed),
-            false,
-            threads,
-            &dir,
-            "arm",
-        );
+        let reference = run_arm(&ds, &base_config(LossKind::Logistic, seed), false, 1, &dir, "ref");
+        let arm = run_arm(&ds, &base_config(LossKind::Logistic, seed), false, threads, &dir, "arm");
         assert_same_run(&reference, &arm, &format!("seed={seed} threads={threads}"));
         std::fs::remove_dir_all(&dir).ok();
     }

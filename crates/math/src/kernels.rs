@@ -509,8 +509,8 @@ pub fn hadamard_axpy_fast(alpha: f32, a: &[f32], b: &[f32], out: &mut [f32]) {
 /// Fused gradient-row update body:
 /// `entry[d] = base + (coef·grad[d] + l2·params[d])` where `base` is the
 /// existing value (`WRITE = false`) or literal `0.0` (`WRITE = true`).
-/// Plain mul/add only — bit-identical to the scalar accumulate loop the
-/// legacy gradient path runs.
+/// Plain mul/add only — bit-identical to the scalar accumulate loop of
+/// the per-example gradient reference.
 #[inline(always)]
 fn scale_add_l2_body<const WRITE: bool>(
     entry: &mut [f32],

@@ -34,7 +34,8 @@ pub struct PhaseBreakdown {
     pub backward: f64,
     /// Optimizer row updates.
     pub step: f64,
-    /// Entity renormalization / projection.
+    /// Entity renormalization / projection. 0: the fused optimizer tail
+    /// projects each entity row right after its update, timed as `step`.
     pub project: f64,
 }
 
