@@ -1,12 +1,11 @@
-//! Benchmarks of the evaluation protocol: ranking a triple against all
-//! entity corruptions, raw vs filtered, and the batched fast path
-//! (precomputed interaction context, O(n·D) per candidate) against naive
-//! per-candidate scoring.
+//! Benchmarks of the evaluation protocol: scoring every entity as a
+//! corruption through `score_block` — the blocked GEMM path against the
+//! trait's pointwise default — and the full raw + filtered protocol.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mei_core::{MultiEmbedModel, WeightPreset};
 use mei_eval::ranking::{evaluate, EvalConfig};
-use mei_eval::TripleScorer;
+use mei_eval::{BlockQuery, TripleScorer};
 use mei_kg::{EntityId, RelationId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,19 +21,20 @@ fn bench_ranking(c: &mut Criterion) {
         &mut rng,
     );
     let filter = dataset.filter_store();
+    let query = [BlockQuery::tails(EntityId(3), RelationId(0))];
 
     let mut group = c.benchmark_group("ranking");
 
-    // Fast path: context precompute + dot per candidate.
-    group.bench_function("score_all_tails (fast path)", |b| {
+    // Fast path: context precompute + one GEMM row over the entity table.
+    group.bench_function("score_block (1 query)", |b| {
         let mut out = vec![0.0f32; model.num_entities()];
         b.iter(|| {
-            model.score_all_tails(black_box(EntityId(3)), black_box(RelationId(0)), &mut out);
+            model.score_block(black_box(&query), &mut out);
             out[0]
         })
     });
 
-    // Naive path: the default trait implementation, one score per entity.
+    // Naive path: the trait's default, one pointwise score per entity.
     struct Naive<'a>(&'a MultiEmbedModel);
     impl TripleScorer for Naive<'_> {
         fn num_entities(&self) -> usize {
@@ -43,13 +43,13 @@ fn bench_ranking(c: &mut Criterion) {
         fn score(&self, h: EntityId, t: EntityId, r: RelationId) -> f32 {
             self.0.score(h, t, r)
         }
-        // no batched overrides: exercises the default loop
+        // no score_block override: exercises the default loop
     }
-    group.bench_function("score_all_tails (naive)", |b| {
+    group.bench_function("score_block (1 query, naive)", |b| {
         let naive = Naive(&model);
         let mut out = vec![0.0f32; model.num_entities()];
         b.iter(|| {
-            naive.score_all_tails(black_box(EntityId(3)), black_box(RelationId(0)), &mut out);
+            naive.score_block(black_box(&query), &mut out);
             out[0]
         })
     });
@@ -58,7 +58,6 @@ fn bench_ranking(c: &mut Criterion) {
     // blocks show the kernel cost; the evaluate benches below exercise the
     // real multi-query blocking.
     group.bench_function("score_block (blocked gemm, 8 queries)", |b| {
-        use mei_eval::BlockQuery;
         let queries: Vec<BlockQuery> = (0..8)
             .map(|i| BlockQuery::tails(EntityId(i), RelationId(i % 4)))
             .collect();
@@ -73,10 +72,6 @@ fn bench_ranking(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("evaluate test split (blocked)", |b| {
         b.iter(|| evaluate(&model, &dataset.test, &filter, &EvalConfig::default()))
-    });
-    group.bench_function("evaluate test split (legacy f64 dots)", |b| {
-        let legacy = mei_bench::LegacyScorer::new(&model);
-        b.iter(|| evaluate(&legacy, &dataset.test, &filter, &EvalConfig::default()))
     });
 
     group.finish();

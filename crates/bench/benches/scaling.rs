@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mei_core::{MultiEmbedModel, WeightPreset};
-use mei_eval::TripleScorer;
+use mei_eval::{BlockQuery, TripleScorer};
 use mei_kg::{EntityId, RelationId, Triple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,9 +28,10 @@ fn bench_scaling(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(1);
         let model = MultiEmbedModel::from_preset(WeightPreset::ComplEx, 500, 18, dim, &mut rng);
         let mut out = vec![0.0f32; 500];
+        let query = [BlockQuery::tails(EntityId(3), RelationId(0))];
         rank_group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, _| {
             b.iter(|| {
-                model.score_all_tails(black_box(EntityId(3)), black_box(RelationId(0)), &mut out);
+                model.score_block(black_box(&query), &mut out);
                 out[0]
             })
         });

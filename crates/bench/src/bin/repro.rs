@@ -9,8 +9,8 @@
 //! repro train <preset> [opts]   # one model, verbose convergence trace
 //! repro ablate [opts]           # design-choice sweeps (negatives, optimizer, ...)
 //! repro grid   [opts]           # §5.3 hyperparameter grid search (ComplEx)
-//! repro bench-eval [opts]       # ranking-throughput benchmark (legacy vs blocked GEMM)
-//! repro bench-serve [opts]      # serving-throughput benchmark (reference vs batched vs cached)
+//! repro bench-eval [opts]       # ranking-throughput benchmark (blocked GEMM)
+//! repro bench-serve [opts]      # serving-throughput benchmark (batched vs cached engine)
 //! repro bench-train [opts]      # training-throughput benchmark (negative sampling, plus
 //!                               # the k-vs-all full-softmax and regularized block-term
 //!                               # MEI sections)
@@ -483,9 +483,9 @@ fn print_fingerprint() {
     );
 }
 
-/// `repro bench-eval`: times the three ranking paths (legacy f64 dots,
-/// per-query SIMD, blocked GEMM) over the test split without training, and
-/// optionally writes the machine-readable report (BENCH_eval.json).
+/// `repro bench-eval`: times the blocked GEMM ranking pipeline over the
+/// test split without training, and optionally writes the
+/// machine-readable report (BENCH_eval.json).
 fn bench_eval(ds: &Dataset, proto: &Protocol, opts: &Options) {
     let t0 = Instant::now();
     print_fingerprint();
@@ -497,19 +497,12 @@ fn bench_eval(ds: &Dataset, proto: &Protocol, opts: &Options) {
         proto.budget
     );
     let report = mei_bench::bench_eval_throughput(ds, proto.budget, opts.seed, opts.limit);
-    for path in ["legacy_f64_dot", "per_query_simd", "blocked_gemm"] {
-        let qps = report
-            .get(path)
-            .and_then(|p| p.get("queries_per_sec"))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        println!("  {path:<16} {qps:>10.1} queries/sec");
-    }
-    for key in ["speedup_blocked_vs_legacy", "speedup_blocked_vs_per_query"] {
-        let s = report.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        println!("  {key:<28} {s:>6.2}x");
-    }
-    println!("  filtered metrics bitwise identical across SIMD paths: yes");
+    let qps = report
+        .get("blocked_gemm")
+        .and_then(|p| p.get("queries_per_sec"))
+        .and_then(|v| v.as_f64())
+        .unwrap_or(0.0);
+    println!("  blocked_gemm {qps:>10.1} queries/sec");
     let json = report.to_json();
     if let Some(path) = &opts.out {
         if let Err(e) = std::fs::write(path, json + "\n") {
@@ -601,10 +594,9 @@ fn conn_sections(proto: &Protocol, opts: &Options) -> Vec<mei_obs::JsonValue> {
     sections
 }
 
-/// `repro bench-serve`: times the three serving arms (per-request
-/// reference path, micro-batched engine, batched + cached engine) on a
-/// shared random-model workload, asserts batched answers are bit-identical
-/// to the reference, runs the quantized screen→rescore recall contract at
+/// `repro bench-serve`: times the two serving arms (micro-batched engine,
+/// batched + cached engine) on a shared random-model workload, asserts
+/// batched answers are bit-identical to the `top_k_reference` oracle, runs the quantized screen→rescore recall contract at
 /// the WN18 and million-entity shapes (`"screened"` section), the
 /// connection-scaling sweep over one epoll event loop (`"conn_scaling"`),
 /// the owned-vs-mapped snapshot hot-swap comparison at the million-entity
@@ -638,7 +630,7 @@ fn bench_serve(ds: &Dataset, proto: &Protocol, opts: &Options) {
         proto.budget
     );
     let mut report = mei_bench::bench_serve_throughput(ds, proto.budget, opts.seed, opts.limit);
-    for arm in ["unbatched_reference", "batched", "batched_cached"] {
+    for arm in ["batched", "batched_cached"] {
         let field = |name: &str| {
             report.get(arm).and_then(|a| a.get(name)).and_then(|v| v.as_f64()).unwrap_or(0.0)
         };
@@ -649,11 +641,7 @@ fn bench_serve(ds: &Dataset, proto: &Protocol, opts: &Options) {
             field("p99_latency_secs") * 1e3
         );
     }
-    for key in ["speedup_batched_vs_unbatched", "speedup_cached_vs_unbatched"] {
-        let s = report.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        println!("  {key:<28} {s:>6.2}x");
-    }
-    println!("  batched answers bitwise identical to unbatched: yes");
+    println!("  batched answers bitwise identical to the reference: yes");
     if opts.overload {
         let overload = mei_bench::bench_serve_overload(ds, proto.budget, opts.seed);
         let field = |name: &str| {

@@ -33,7 +33,7 @@ use mei_core::{
     WeightPreset, WeightVector,
 };
 use mei_eval::ranking::{evaluate_filtered, evaluate_with_stats, top_k_reference};
-use mei_eval::{BlockQuery, EvalConfig, EvalStats, LinkPredictionResults, Side, TripleScorer};
+use mei_eval::{BlockQuery, EvalConfig, LinkPredictionResults, Side, TripleScorer};
 use mei_kg::{AugmentedDataset, Dataset, TripleStore};
 use mei_obs::json::build as json;
 use mei_obs::{EpochRecord, EvalRecord, JsonValue, MetricsRegistry, TrainObserver};
@@ -370,7 +370,7 @@ pub struct ReciprocalScorer<'a> {
     original_num_relations: usize,
 }
 
-impl mei_eval::TripleScorer for ReciprocalScorer<'_> {
+impl TripleScorer for ReciprocalScorer<'_> {
     fn num_entities(&self) -> usize {
         self.model.num_entities()
     }
@@ -385,43 +385,12 @@ impl mei_eval::TripleScorer for ReciprocalScorer<'_> {
         self.model.score(head, tail, relation) + self.model.score(tail, head, inv)
     }
 
-    fn score_all_tails(
-        &self,
-        head: mei_kg::EntityId,
-        relation: mei_kg::RelationId,
-        out: &mut [f32],
-    ) {
-        self.model.score_all_tails(head, relation, out);
-        let inv = mei_kg::RelationId(relation.0 + self.original_num_relations as u32);
-        let mut extra = vec![0.0f32; out.len()];
-        // S_cp(t', h, r⁽ᵃ⁾) over all t' = head-ranking of (?, h, r⁽ᵃ⁾).
-        self.model.score_all_heads(head, inv, &mut extra);
-        for (o, e) in out.iter_mut().zip(&extra) {
-            *o += e;
-        }
-    }
-
-    fn score_all_heads(
-        &self,
-        tail: mei_kg::EntityId,
-        relation: mei_kg::RelationId,
-        out: &mut [f32],
-    ) {
-        self.model.score_all_heads(tail, relation, out);
-        let inv = mei_kg::RelationId(relation.0 + self.original_num_relations as u32);
-        let mut extra = vec![0.0f32; out.len()];
-        self.model.score_all_tails(tail, inv, &mut extra);
-        for (o, e) in out.iter_mut().zip(&extra) {
-            *o += e;
-        }
-    }
-
     fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
         // Forward CP pass, blocked through the model's GEMM path.
         self.model.score_block(queries, out);
-        // Inverse pass: flipping the replaced side ranks the same
-        // candidates under r⁽ᵃ⁾ (the per-query methods above do the same
-        // flip one query at a time), so both passes stay blocked.
+        // Inverse pass: S_cp(t', h, r⁽ᵃ⁾) over all t' is the head ranking
+        // of (?, h, r⁽ᵃ⁾), so flipping the replaced side scores the same
+        // candidates under r⁽ᵃ⁾ and both passes stay blocked.
         let inverse: Vec<BlockQuery> = queries
             .iter()
             .map(|q| {
@@ -448,95 +417,10 @@ impl<'a> ReciprocalScorer<'a> {
     }
 }
 
-/// The evaluation path as it existed before the blocked GEMM kernel: one
-/// interaction context per query, then a serial f64-accumulating `dot`
-/// against every entity row, and no `score_block` override. Kept so
-/// `repro bench-eval` can measure the new pipeline against the original
-/// baseline on the same machine.
-pub struct LegacyScorer<'a> {
-    model: &'a MultiEmbedModel,
-}
-
-impl<'a> LegacyScorer<'a> {
-    /// Wraps `model` without touching its parameters.
-    pub fn new(model: &'a MultiEmbedModel) -> Self {
-        Self { model }
-    }
-}
-
-impl TripleScorer for LegacyScorer<'_> {
-    fn num_entities(&self) -> usize {
-        self.model.num_entities()
-    }
-
-    fn score(&self, head: mei_kg::EntityId, tail: mei_kg::EntityId, relation: mei_kg::RelationId) -> f32 {
-        self.model.score(head, tail, relation)
-    }
-
-    fn score_all_tails(&self, head: mei_kg::EntityId, relation: mei_kg::RelationId, out: &mut [f32]) {
-        let mut ctx = vec![0.0f32; self.model.entities.row_len()];
-        self.model.tail_context(head, relation, &mut ctx);
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = mei_math::vecops::dot(&ctx, self.model.entities.row(e));
-        }
-    }
-
-    fn score_all_heads(&self, tail: mei_kg::EntityId, relation: mei_kg::RelationId, out: &mut [f32]) {
-        let mut ctx = vec![0.0f32; self.model.entities.row_len()];
-        self.model.head_context(tail, relation, &mut ctx);
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = mei_math::vecops::dot(&ctx, self.model.entities.row(e));
-        }
-    }
-}
-
-/// Forwards the model's per-query SIMD path but hides its `score_block`
-/// override, so evaluation scores one query at a time. Comparing this
-/// against the model itself isolates the cache-blocking win from the
-/// kernel win, and its scores are bit-identical to the blocked path.
-pub struct UnblockedScorer<'a>(pub &'a MultiEmbedModel);
-
-impl TripleScorer for UnblockedScorer<'_> {
-    fn num_entities(&self) -> usize {
-        self.0.num_entities()
-    }
-
-    fn score(&self, head: mei_kg::EntityId, tail: mei_kg::EntityId, relation: mei_kg::RelationId) -> f32 {
-        self.0.score(head, tail, relation)
-    }
-
-    fn score_all_tails(&self, head: mei_kg::EntityId, relation: mei_kg::RelationId, out: &mut [f32]) {
-        self.0.score_all_tails(head, relation, out)
-    }
-
-    fn score_all_heads(&self, tail: mei_kg::EntityId, relation: mei_kg::RelationId, out: &mut [f32]) {
-        self.0.score_all_heads(tail, relation, out)
-    }
-    // no score_block: exercises the trait's per-query default
-}
-
-/// Times one full `evaluate_with_stats` pass and feeds its telemetry into
-/// the mei-obs registry (`eval_queries` counter + `eval_secs` histogram),
-/// so throughput is recorded through the same observability path as
-/// in-training evaluation.
-fn timed_eval_pass<S: TripleScorer>(
-    scorer: &S,
-    triples: &[mei_kg::Triple],
-    filter: &TripleStore,
-    eval_cfg: &EvalConfig,
-    registry: &MetricsRegistry,
-    label: &str,
-) -> (LinkPredictionResults, EvalStats) {
-    let (_, filt, stats) = evaluate_with_stats(scorer, triples, filter, eval_cfg);
-    registry.counter(&format!("eval_queries/{label}")).add(stats.queries as u64);
-    registry.histogram(&format!("eval_secs/{label}"), &PHASE_BUCKETS).observe(stats.wall_secs);
-    (filt, stats)
-}
-
-/// Measures link-prediction ranking throughput of the three evaluation
-/// paths on `dataset` — the legacy per-entity f64 dot loop, the per-query
-/// SIMD path, and the blocked GEMM pipeline — and asserts that the blocked
-/// pipeline reproduces the per-query filtered metrics bit-for-bit.
+/// Measures link-prediction ranking throughput of the blocked GEMM
+/// pipeline on `dataset` with a seeded random ComplEx model at budget
+/// `n·D`. That blocked and per-query scoring agree bit for bit is checked
+/// by `tests/blocked_eval.rs`, not here.
 ///
 /// `limit` caps the evaluated test triples (0 = all). The returned object
 /// is the `BENCH_eval.json` artifact written by `repro bench-eval`.
@@ -555,53 +439,22 @@ pub fn bench_eval_throughput(dataset: &Dataset, budget: usize, seed: u64, limit:
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let model = MultiEmbedModel::with_fixed_weights(cfg, WeightPreset::ComplEx.weight_vector(), &mut rng);
-    let eval_cfg = EvalConfig::default();
-    let registry = MetricsRegistry::default();
-
-    let (legacy_filt, legacy) =
-        timed_eval_pass(&LegacyScorer::new(&model), triples, &filter, &eval_cfg, &registry, "legacy");
-    let (unblocked_filt, unblocked) =
-        timed_eval_pass(&UnblockedScorer(&model), triples, &filter, &eval_cfg, &registry, "per_query");
-    let (blocked_filt, blocked) =
-        timed_eval_pass(&model, triples, &filter, &eval_cfg, &registry, "blocked");
-
-    // The acceptance contract of the blocked path: exactly the metrics the
-    // per-query SIMD path produces, down to the last bit.
-    assert_eq!(
-        blocked_filt.mrr.to_bits(),
-        unblocked_filt.mrr.to_bits(),
-        "blocked filtered MRR diverged from the per-query path"
-    );
-    assert_eq!(blocked_filt.mr.to_bits(), unblocked_filt.mr.to_bits());
-    assert_eq!(blocked_filt.hits, unblocked_filt.hits);
-    assert_eq!(blocked.queries, unblocked.queries);
-
-    fn path_report(stats: &EvalStats, filt: &LinkPredictionResults) -> JsonValue {
-        json::obj([
-            ("queries", json::int(stats.queries)),
-            ("wall_secs", json::num(stats.wall_secs)),
-            ("queries_per_sec", json::num(stats.queries_per_sec)),
-            ("filtered_mrr", json::num(filt.mrr)),
-        ])
-    }
+    let (_, filt, stats) = evaluate_with_stats(&model, triples, &filter, &EvalConfig::default());
     json::obj([
         ("bench", json::str("eval_throughput")),
         ("num_entities", json::int(dataset.num_entities())),
         ("embedding_budget_nd", json::int(budget)),
         ("test_triples", json::int(triples.len())),
         ("seed", json::int(seed as usize)),
-        ("legacy_f64_dot", path_report(&legacy, &legacy_filt)),
-        ("per_query_simd", path_report(&unblocked, &unblocked_filt)),
-        ("blocked_gemm", path_report(&blocked, &blocked_filt)),
         (
-            "speedup_blocked_vs_legacy",
-            json::num(blocked.queries_per_sec / legacy.queries_per_sec.max(f64::MIN_POSITIVE)),
+            "blocked_gemm",
+            json::obj([
+                ("queries", json::int(stats.queries)),
+                ("wall_secs", json::num(stats.wall_secs)),
+                ("queries_per_sec", json::num(stats.queries_per_sec)),
+                ("filtered_mrr", json::num(filt.mrr)),
+            ]),
         ),
-        (
-            "speedup_blocked_vs_per_query",
-            json::num(blocked.queries_per_sec / unblocked.queries_per_sec.max(f64::MIN_POSITIVE)),
-        ),
-        ("filtered_metrics_bitwise_identical", JsonValue::Bool(true)),
     ])
 }
 
@@ -1318,12 +1171,11 @@ fn run_serve_arm(
     ArmStats { wall_secs: t0.elapsed().as_secs_f64(), latencies }
 }
 
-/// Measures serving throughput of three arms on `dataset` at the same
-/// shape `bench_eval_throughput` uses — the per-request reference path
-/// (`top_k_reference`, the pre-engine architecture), the micro-batching
-/// engine with the result cache disabled, and the engine with the cache
-/// on — and asserts the engine's answers are bit-identical to the
-/// reference for every distinct query in the workload.
+/// Measures serving throughput of two arms on `dataset` at the same shape
+/// `bench_eval_throughput` uses — the micro-batching engine with the
+/// result cache disabled, and the engine with the cache on — and asserts
+/// the engine's answers are bit-identical to the [`top_k_reference`]
+/// oracle for every distinct query in the workload.
 ///
 /// `requests` is the total request count (0 picks the 512 default). The
 /// returned object is the `BENCH_serve.json` artifact written by
@@ -1383,22 +1235,7 @@ pub fn bench_serve_throughput(dataset: &Dataset, budget: usize, seed: u64, reque
         )
     };
 
-    // Arm 1: the pre-engine serving path, one reference ranking per
-    // request. Sequential — on the single-core target, per-request
-    // handler threads add contention but no throughput, so this is the
-    // architecture's best case.
-    let t0 = std::time::Instant::now();
-    let mut ref_latencies = Vec::with_capacity(requests);
-    for &qi in &workload {
-        let (side, anchor, relation) = pool[qi];
-        let t = std::time::Instant::now();
-        let answer = top_k_reference(&model, side, anchor, relation, K, &exclude);
-        ref_latencies.push(t.elapsed().as_secs_f64());
-        std::hint::black_box(&answer);
-    }
-    let unbatched = ArmStats { wall_secs: t0.elapsed().as_secs_f64(), latencies: ref_latencies };
-
-    // Arm 2: the batching engine, cache off — every request is scored,
+    // Arm 1: the batching engine, cache off — every request is scored,
     // concurrency comes from CLIENTS threads filling the batch queue.
     let engine = Engine::start(snapshot(), serve_config(false));
     let batched = run_serve_arm(&engine, &pool, &workload, CLIENTS, K);
@@ -1413,8 +1250,8 @@ pub fn bench_serve_throughput(dataset: &Dataset, budget: usize, seed: u64, reque
         .unwrap_or(0.0);
 
     // The acceptance contract: for every distinct query, the batched
-    // engine's answer equals the reference answer element for element
-    // (ids, order, and bitwise-equal scores).
+    // engine's answer equals the oracle's element for element (ids,
+    // order, and bitwise-equal scores).
     for &(side, anchor, relation) in &pool {
         let got = engine.predict(side, anchor, relation, K).expect("identity query failed");
         let want = top_k_reference(&model, side, anchor, relation, K, &exclude);
@@ -1425,15 +1262,12 @@ pub fn bench_serve_throughput(dataset: &Dataset, budget: usize, seed: u64, reque
     }
     engine.shutdown();
 
-    // Arm 3: cache on — repeats in the workload are served from the
+    // Arm 2: cache on — repeats in the workload are served from the
     // sharded LRU without touching the scorer.
     let engine = Engine::start(snapshot(), serve_config(true));
     let cached = run_serve_arm(&engine, &pool, &workload, CLIENTS, K);
     let cache_stats = engine.cache_stats();
     engine.shutdown();
-
-    let speedup_batched = batched.qps(requests) / unbatched.qps(requests).max(f64::MIN_POSITIVE);
-    let speedup_cached = cached.qps(requests) / unbatched.qps(requests).max(f64::MIN_POSITIVE);
 
     let mut batched_report = match batched.report(requests) {
         JsonValue::Obj(pairs) => pairs,
@@ -1455,12 +1289,9 @@ pub fn bench_serve_throughput(dataset: &Dataset, budget: usize, seed: u64, reque
         ("clients", json::int(CLIENTS)),
         ("k", json::int(K)),
         ("seed", json::int(seed as usize)),
-        ("unbatched_reference", unbatched.report(requests)),
         ("batched", JsonValue::Obj(batched_report)),
         ("batched_cached", JsonValue::Obj(cached_report)),
-        ("speedup_batched_vs_unbatched", json::num(speedup_batched)),
-        ("speedup_cached_vs_unbatched", json::num(speedup_cached)),
-        ("batched_identical_to_unbatched", JsonValue::Bool(true)),
+        ("batched_identical_to_reference", JsonValue::Bool(true)),
     ])
 }
 
@@ -2140,7 +1971,7 @@ mod tests {
     }
 
     #[test]
-    fn reciprocal_score_block_matches_per_query_path() {
+    fn reciprocal_score_block_matches_pointwise_scores() {
         let ds = SynthWnConfig::at_scale(SynthWnScale::Tiny, 2).generate();
         let aug = AugmentedDataset::from_dataset(&ds);
         let mut rng = StdRng::seed_from_u64(5);
@@ -2161,32 +1992,28 @@ mod tests {
         ];
         let mut blocked = vec![0.0f32; queries.len() * ne];
         scorer.score_block(&queries, &mut blocked);
-        let mut row = vec![0.0f32; ne];
         for (q, blocked_row) in queries.iter().zip(blocked.chunks(ne)) {
-            match q.side {
-                Side::Tail => scorer.score_all_tails(q.anchor, q.relation, &mut row),
-                Side::Head => scorer.score_all_heads(q.anchor, q.relation, &mut row),
-            }
-            for (a, b) in blocked_row.iter().zip(&row) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            for (e, got) in blocked_row.iter().enumerate() {
+                let candidate = mei_kg::EntityId(e as u32);
+                let want = match q.side {
+                    Side::Tail => scorer.score(q.anchor, candidate, q.relation),
+                    Side::Head => scorer.score(candidate, q.anchor, q.relation),
+                };
+                assert!((got - want).abs() <= 1e-5 * (1.0 + want.abs()), "{q:?} {e}: {got} vs {want}");
             }
         }
     }
 
     #[test]
-    fn bench_eval_throughput_reports_consistent_paths() {
+    fn bench_eval_throughput_reports_the_blocked_path() {
         let ds = SynthWnConfig::at_scale(SynthWnScale::Tiny, 4).generate();
         let report = bench_eval_throughput(&ds, 32, 0, 50);
         assert_eq!(report.get("test_triples").and_then(JsonValue::as_usize), Some(50));
-        for path in ["legacy_f64_dot", "per_query_simd", "blocked_gemm"] {
-            let p = report.get(path).unwrap_or_else(|| panic!("missing {path}"));
-            assert_eq!(p.get("queries").and_then(JsonValue::as_usize), Some(100));
-            assert!(p.get("queries_per_sec").and_then(JsonValue::as_f64).unwrap() > 0.0);
-        }
-        // Same model, same triples: every path reports the same metric.
-        let mrr = |p: &str| report.get(p).and_then(|v| v.get("filtered_mrr")).and_then(JsonValue::as_f64).unwrap();
-        assert_eq!(mrr("per_query_simd"), mrr("blocked_gemm"));
-        assert!(report.get("speedup_blocked_vs_legacy").and_then(JsonValue::as_f64).unwrap() > 0.0);
+        let blocked = report.get("blocked_gemm").expect("blocked_gemm section");
+        assert_eq!(blocked.get("queries").and_then(JsonValue::as_usize), Some(100));
+        assert!(blocked.get("queries_per_sec").and_then(JsonValue::as_f64).unwrap() > 0.0);
+        let mrr = blocked.get("filtered_mrr").and_then(JsonValue::as_f64).unwrap();
+        assert!(mrr > 0.0 && mrr <= 1.0, "{mrr}");
         assert!(report.to_json().contains("eval_throughput"));
     }
 

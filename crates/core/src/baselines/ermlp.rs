@@ -175,6 +175,7 @@ impl TripleScorer for ErMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mei_eval::BlockQuery;
     use mei_kg::Dictionary;
 
     fn parity_dataset() -> Dataset {
@@ -249,7 +250,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let m = ErMlp::new(6, 1, ErMlpConfig::default(), &mut rng);
         let mut out = vec![0.0f32; 6];
-        m.score_all_tails(EntityId(0), RelationId(0), &mut out);
+        m.score_block(&[BlockQuery::tails(EntityId(0), RelationId(0))], &mut out);
         for (e, v) in out.iter().enumerate() {
             assert_eq!(*v, m.score(EntityId(0), EntityId(e as u32), RelationId(0)));
         }

@@ -8,7 +8,7 @@
 //! here makes that lineage executable: the benches compare its `O(D²)`
 //! per-triple cost against the trilinear models' `O(D)`.
 
-use mei_eval::TripleScorer;
+use mei_eval::{BlockQuery, Side, TripleScorer};
 use mei_kg::negative::CorruptionSide;
 use mei_kg::{Dataset, EntityId, NegativeSampler, RelationId, Triple};
 use mei_math::init::Init;
@@ -150,24 +150,22 @@ impl TripleScorer for Rescal {
         self.score_triple(Triple { head, tail, relation })
     }
 
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
-        // hᵀ·W once (O(D²)), then one dot per candidate (O(D)).
-        let h = self.entities.vec(head.idx(), 0);
-        let w = &self.relation_matrices[relation.idx()];
-        let mut hw = vec![0.0f32; self.cfg.dim];
-        w.matvec_transposed(h, &mut hw);
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = mei_math::dot(&hw, self.entities.vec(e, 0));
-        }
-    }
-
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        let t = self.entities.vec(tail.idx(), 0);
-        let w = &self.relation_matrices[relation.idx()];
-        let mut wt = vec![0.0f32; self.cfg.dim];
-        w.matvec(t, &mut wt);
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = mei_math::dot(self.entities.vec(e, 0), &wt);
+    /// Folds each query's anchor through `W_r` once — `hᵀ·W` for tails,
+    /// `W·t` for heads, O(D²) — then scores every candidate with one O(D)
+    /// dot.
+    fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
+        let ne = self.num_entities();
+        let mut folded = vec![0.0f32; self.cfg.dim];
+        for (q, row) in queries.iter().zip(out.chunks_mut(ne)) {
+            let a = self.entities.vec(q.anchor.idx(), 0);
+            let w = &self.relation_matrices[q.relation.idx()];
+            match q.side {
+                Side::Tail => w.matvec_transposed(a, &mut folded),
+                Side::Head => w.matvec(a, &mut folded),
+            }
+            for (e, slot) in row.iter_mut().enumerate() {
+                *slot = mei_math::dot(&folded, self.entities.vec(e, 0));
+            }
         }
     }
 }
@@ -240,10 +238,13 @@ mod tests {
     fn batched_scoring_matches_pointwise() {
         let mut rng = StdRng::seed_from_u64(5);
         let m = Rescal::new(6, 2, RescalConfig { dim: 5, ..RescalConfig::default() }, &mut rng);
-        let mut tails = vec![0.0f32; 6];
-        m.score_all_tails(EntityId(1), RelationId(0), &mut tails);
-        let mut heads = vec![0.0f32; 6];
-        m.score_all_heads(EntityId(2), RelationId(1), &mut heads);
+        let queries = [
+            BlockQuery::tails(EntityId(1), RelationId(0)),
+            BlockQuery::heads(EntityId(2), RelationId(1)),
+        ];
+        let mut out = vec![0.0f32; 2 * 6];
+        m.score_block(&queries, &mut out);
+        let (tails, heads) = out.split_at(6);
         for e in 0..6u32 {
             assert!(
                 (tails[e as usize] - m.score(EntityId(1), EntityId(e), RelationId(0))).abs() < 1e-5

@@ -10,7 +10,7 @@
 //! that on SynthWN's symmetric relations, where `h + r ≈ t` and
 //! `t + r ≈ h` force `r ≈ 0`.
 
-use mei_eval::TripleScorer;
+use mei_eval::{BlockQuery, Side, TripleScorer};
 use mei_kg::negative::CorruptionSide;
 use mei_kg::{Dataset, EntityId, NegativeSampler, RelationId, Triple};
 use mei_math::init::Init;
@@ -165,28 +165,28 @@ impl TripleScorer for TransE {
         self.score_triple(Triple { head, tail, relation })
     }
 
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
-        let h = self.entities.vec(head.idx(), 0);
-        let r = self.relations.vec(relation.idx(), 0);
-        let mut translated = vec![0.0f32; self.cfg.dim];
-        for d in 0..self.cfg.dim {
-            translated[d] = h[d] + r[d];
-        }
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = -lp_distance(&translated, self.entities.vec(e, 0), self.cfg.norm);
-        }
-    }
-
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        let t = self.entities.vec(tail.idx(), 0);
-        let r = self.relations.vec(relation.idx(), 0);
-        // ‖h + r − t‖ = ‖h − (t − r)‖.
+    /// Translates each query's anchor once — `h + r` for tails, `t − r`
+    /// for heads, since ‖h′ + r − t‖ = ‖h′ − (t − r)‖ — then measures its
+    /// distance to every candidate.
+    fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
+        let ne = self.num_entities();
         let mut target = vec![0.0f32; self.cfg.dim];
-        for d in 0..self.cfg.dim {
-            target[d] = t[d] - r[d];
-        }
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = -lp_distance(self.entities.vec(e, 0), &target, self.cfg.norm);
+        for (q, row) in queries.iter().zip(out.chunks_mut(ne)) {
+            let a = self.entities.vec(q.anchor.idx(), 0);
+            let r = self.relations.vec(q.relation.idx(), 0);
+            for (x, (a, r)) in target.iter_mut().zip(a.iter().zip(r)) {
+                *x = match q.side {
+                    Side::Tail => a + r,
+                    Side::Head => a - r,
+                };
+            }
+            for (e, slot) in row.iter_mut().enumerate() {
+                let candidate = self.entities.vec(e, 0);
+                *slot = -match q.side {
+                    Side::Tail => lp_distance(&target, candidate, self.cfg.norm),
+                    Side::Head => lp_distance(candidate, &target, self.cfg.norm),
+                };
+            }
         }
     }
 }
@@ -243,10 +243,13 @@ mod tests {
     fn batched_scoring_matches_pointwise() {
         let mut rng = StdRng::seed_from_u64(5);
         let m = TransE::new(6, 2, TransEConfig { dim: 8, ..TransEConfig::default() }, &mut rng);
-        let mut tails = vec![0.0f32; 6];
-        m.score_all_tails(EntityId(1), RelationId(0), &mut tails);
-        let mut heads = vec![0.0f32; 6];
-        m.score_all_heads(EntityId(2), RelationId(1), &mut heads);
+        let queries = [
+            BlockQuery::tails(EntityId(1), RelationId(0)),
+            BlockQuery::heads(EntityId(2), RelationId(1)),
+        ];
+        let mut out = vec![0.0f32; 2 * 6];
+        m.score_block(&queries, &mut out);
+        let (tails, heads) = out.split_at(6);
         for e in 0..6u32 {
             assert!((tails[e as usize] - m.score(EntityId(1), EntityId(e), RelationId(0))).abs() < 1e-5);
             assert!((heads[e as usize] - m.score(EntityId(e), EntityId(2), RelationId(1))).abs() < 1e-5);

@@ -12,7 +12,7 @@
 //! TransE's collapse on N-to-1 / symmetric relations (partially — the
 //! tests demonstrate the improvement over TransE on a symmetric toy).
 
-use mei_eval::TripleScorer;
+use mei_eval::{BlockQuery, Side, TripleScorer};
 use mei_kg::negative::CorruptionSide;
 use mei_kg::{Dataset, EntityId, NegativeSampler, RelationId, Triple};
 use mei_math::init::Init;
@@ -205,47 +205,31 @@ impl TripleScorer for TransH {
         self.score_triple(Triple { head, tail, relation })
     }
 
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
+    /// Projects each query's anchor onto the relation hyperplane once and
+    /// shifts it by `d_r` (`+` for tails, `−` for heads); every candidate
+    /// is then projected and compared against that target.
+    fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
+        let ne = self.num_entities();
         let d = self.cfg.dim;
-        let r = relation.idx();
-        let mut hp = vec![0.0f32; d];
-        self.project(self.entities.vec(head.idx(), 0), r, &mut hp);
-        let dr = self.translations.vec(r, 0);
-        let mut target = vec![0.0f32; d];
-        for i in 0..d {
-            target[i] = hp[i] + dr[i];
-        }
-        let mut tp = vec![0.0f32; d];
-        for (e, slot) in out.iter_mut().enumerate() {
-            self.project(self.entities.vec(e, 0), r, &mut tp);
-            let mut acc = 0.0f64;
-            for i in 0..d {
-                let v = target[i] - tp[i];
-                acc += f64::from(v) * f64::from(v);
+        let (mut target, mut projected) = (vec![0.0f32; d], vec![0.0f32; d]);
+        for (q, row) in queries.iter().zip(out.chunks_mut(ne)) {
+            let r = q.relation.idx();
+            self.project(self.entities.vec(q.anchor.idx(), 0), r, &mut target);
+            for (x, dr) in target.iter_mut().zip(self.translations.vec(r, 0)) {
+                match q.side {
+                    Side::Tail => *x += dr,
+                    Side::Head => *x -= dr,
+                }
             }
-            *slot = -(acc as f32);
-        }
-    }
-
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        let d = self.cfg.dim;
-        let r = relation.idx();
-        let mut tp = vec![0.0f32; d];
-        self.project(self.entities.vec(tail.idx(), 0), r, &mut tp);
-        let dr = self.translations.vec(r, 0);
-        let mut target = vec![0.0f32; d];
-        for i in 0..d {
-            target[i] = tp[i] - dr[i];
-        }
-        let mut hp = vec![0.0f32; d];
-        for (e, slot) in out.iter_mut().enumerate() {
-            self.project(self.entities.vec(e, 0), r, &mut hp);
-            let mut acc = 0.0f64;
-            for i in 0..d {
-                let v = hp[i] - target[i];
-                acc += f64::from(v) * f64::from(v);
+            for (e, slot) in row.iter_mut().enumerate() {
+                self.project(self.entities.vec(e, 0), r, &mut projected);
+                let mut acc = 0.0f64;
+                for (t, p) in target.iter().zip(&projected) {
+                    let v = t - p;
+                    acc += f64::from(v) * f64::from(v);
+                }
+                *slot = -(acc as f32);
             }
-            *slot = -(acc as f32);
         }
     }
 }
@@ -318,10 +302,13 @@ mod tests {
     fn batched_scoring_matches_pointwise() {
         let mut rng = StdRng::seed_from_u64(7);
         let m = TransH::new(6, 2, TransHConfig { dim: 5, ..TransHConfig::default() }, &mut rng);
-        let mut tails = vec![0.0f32; 6];
-        m.score_all_tails(EntityId(1), RelationId(0), &mut tails);
-        let mut heads = vec![0.0f32; 6];
-        m.score_all_heads(EntityId(2), RelationId(1), &mut heads);
+        let queries = [
+            BlockQuery::tails(EntityId(1), RelationId(0)),
+            BlockQuery::heads(EntityId(2), RelationId(1)),
+        ];
+        let mut out = vec![0.0f32; 2 * 6];
+        m.score_block(&queries, &mut out);
+        let (tails, heads) = out.split_at(6);
         for e in 0..6u32 {
             assert!(
                 (tails[e as usize] - m.score(EntityId(1), EntityId(e), RelationId(0))).abs() < 1e-4

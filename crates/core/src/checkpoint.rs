@@ -14,7 +14,7 @@
 //! magic "MEIC" | version u32 | payload checksum u64 (FNV-1a) |
 //! payload:
 //!   epoch u32 |
-//!   model_len u32 | model bytes (a complete "MEIM" v3 file) |
+//!   model_len u32 | model bytes (a complete "MEIM" v4/v5 model file) |
 //!   optimizer: kind u8 | lr f32 | len u64 | step i32 |
 //!              n_slots u8 | per slot: len u64, f32 × len |
 //!   rng state u64 × 4 |
@@ -507,6 +507,22 @@ mod tests {
         cp.order = vec![0, 0, 1, 2, 3];
         let err = checkpoint_from_bytes(checkpoint_to_bytes(&cp)).unwrap_err();
         assert!(err.to_string().contains("permutation"));
+    }
+
+    #[test]
+    fn embedded_model_with_wrapping_span_is_a_format_error() {
+        let model = crate::serialize::tests::wrapping_span_file(4);
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(1);
+        payload.put_u32_le(model.len() as u32);
+        payload.put_slice(&model);
+        let mut bytes = BytesMut::new();
+        bytes.put_slice(MAGIC);
+        bytes.put_u32_le(V1_VERSION);
+        bytes.put_u64_le(fnv1a64(&payload));
+        bytes.put_slice(&payload);
+        let err = checkpoint_from_bytes(bytes.freeze()).unwrap_err();
+        assert!(matches!(err, SerializeError::Format(_)), "{err}");
     }
 
     #[test]

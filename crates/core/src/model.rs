@@ -746,32 +746,14 @@ impl TripleScorer for MultiEmbedModel {
         self.score_triple(Triple { head, tail, relation })
     }
 
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.cfg.num_entities);
-        let mut ctx = vec![0.0f32; self.cfg.n * self.cfg.dim];
-        self.tail_context(head, relation, &mut ctx);
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = dot_fast(&ctx, self.entities.row(e));
-        }
-    }
-
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.cfg.num_entities);
-        let mut ctx = vec![0.0f32; self.cfg.n * self.cfg.dim];
-        self.head_context(tail, relation, &mut ctx);
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = dot_fast(&ctx, self.entities.row(e));
-        }
-    }
-
-    /// The blocked evaluation path: pack every query's interaction context
-    /// into a row-major matrix and run one cache-blocked GEMM against the
-    /// entity table, streaming the table once per block of queries instead
-    /// of once per query.
+    /// The scoring path for evaluation and serving: pack every query's
+    /// interaction context into a row-major matrix and run one
+    /// cache-blocked GEMM against the entity table, streaming the table
+    /// once per block of queries instead of once per query.
     ///
-    /// `gemm_nt` computes each output element with the same reduction as
-    /// the `dot_fast` calls above, so blocked scores are bit-identical to
-    /// the per-query path.
+    /// `gemm_nt` reduces each output element exactly like one `dot_fast`
+    /// call on the query's context and the candidate's entity row, so a
+    /// query's scores do not depend on which block it is scored in.
     fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
         let ne = self.cfg.num_entities;
         debug_assert_eq!(out.len(), queries.len() * ne);
@@ -900,14 +882,17 @@ mod tests {
     fn batched_scoring_matches_pointwise() {
         for preset in [WeightPreset::ComplEx, WeightPreset::Cp, WeightPreset::Quaternion] {
             let m = tiny_model(preset, 7);
-            let mut tails = vec![0.0f32; 6];
-            m.score_all_tails(EntityId(2), RelationId(1), &mut tails);
+            let queries = [
+                BlockQuery::tails(EntityId(2), RelationId(1)),
+                BlockQuery::heads(EntityId(3), RelationId(0)),
+            ];
+            let mut out = vec![0.0f32; 2 * 6];
+            m.score_block(&queries, &mut out);
+            let (tails, heads) = out.split_at(6);
             for (e, v) in tails.iter().enumerate() {
                 let direct = m.score(EntityId(2), EntityId(e as u32), RelationId(1));
                 assert!((v - direct).abs() < 1e-4, "{preset:?} tail {e}: {v} vs {direct}");
             }
-            let mut heads = vec![0.0f32; 6];
-            m.score_all_heads(EntityId(3), RelationId(0), &mut heads);
             for (e, v) in heads.iter().enumerate() {
                 let direct = m.score(EntityId(e as u32), EntityId(3), RelationId(0));
                 assert!((v - direct).abs() < 1e-4, "{preset:?} head {e}: {v} vs {direct}");
@@ -1035,10 +1020,10 @@ mod tests {
 
     #[test]
     fn score_block_is_bitwise_identical_to_per_query_path() {
-        // The blocked GEMM must reproduce score_all_tails/heads exactly —
-        // the evaluator relies on this to make blocked and fallback ranking
-        // bit-identical. Use an awkward dim so the kernels' unroll
-        // remainders are exercised.
+        // The blocked GEMM must reproduce the per-query oracle (one
+        // context, then `dot_fast` against every entity row) exactly, so a
+        // query's scores do not depend on the block it lands in. Use an
+        // awkward dim so the kernels' unroll remainders are exercised.
         let mut rng = StdRng::seed_from_u64(17);
         let m = MultiEmbedModel::from_preset(WeightPreset::ComplEx, 37, 4, 13, &mut rng);
         let queries: Vec<BlockQuery> = (0..12)
@@ -1055,14 +1040,14 @@ mod tests {
         let ne = m.num_entities();
         let mut blocked = vec![0.0f32; queries.len() * ne];
         m.score_block(&queries, &mut blocked);
-        let mut row = vec![0.0f32; ne];
+        let mut ctx = vec![0.0f32; m.entities.row_len()];
         for (q, blocked_row) in queries.iter().zip(blocked.chunks(ne)) {
             match q.side {
-                Side::Tail => m.score_all_tails(q.anchor, q.relation, &mut row),
-                Side::Head => m.score_all_heads(q.anchor, q.relation, &mut row),
+                Side::Tail => m.tail_context(q.anchor, q.relation, &mut ctx),
+                Side::Head => m.head_context(q.anchor, q.relation, &mut ctx),
             }
-            for (a, b) in blocked_row.iter().zip(&row) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            for (e, a) in blocked_row.iter().enumerate() {
+                assert_eq!(a.to_bits(), dot_fast(&ctx, m.entities.row(e)).to_bits());
             }
         }
     }

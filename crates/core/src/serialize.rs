@@ -6,13 +6,13 @@
 //! built on `bytes`:
 //!
 //! ```text
-//! magic "MEIM" | version u32 | payload checksum u64 (FNV-1a, v3+) |
+//! magic "MEIM" | version u32 | payload checksum u64 (FNV-1a) |
 //! payload:
 //!   n_ent u32 | n_rel u32 | dim u32 |
 //!   num_entities u32 | num_relations u32 | restriction u8 | trainable u8 |
 //!   raw ω (n_ent²·n_rel f32) |
-//!   zero pad to 64B (v4+) | entity table |
-//!   zero pad to 64B (v4+) | relation table |
+//!   zero pad to 64B | entity table |
+//!   zero pad to 64B | relation table |
 //!   extension (v5, only when present):
 //!     flags u8 |
 //!     [flags bit0] block-term shape: k u32 | ce u32 | cr u32 |
@@ -24,27 +24,33 @@
 //! truncated or half-written snapshot (the failure mode that matters once
 //! `mei serve` hot-swaps checkpoints published by a concurrent training
 //! run) is rejected with a [`SerializeError::Checksum`] instead of being
-//! loaded as garbage embeddings. Legacy version-2 files (no checksum
-//! field) and version-3 files (no alignment padding) are still read;
-//! [`peek_model_meta`] validates a file's header and checksum without
-//! materializing the model — the serving engine's pre-swap guard.
+//! loaded as garbage embeddings.
 //!
-//! Version 4 zero-pads both embedding tables to a 64-byte boundary
-//! *measured from the start of the file*, which makes the tables directly
-//! memory-mappable: [`load_model_mapped`] maps the file, verifies the
-//! checksum (checksum-before-trust — a mapping is never handed out until
-//! its payload hashes clean), and builds `f32` tables that borrow the page
+//! This build reads versions 4 and 5; older files are rejected with a
+//! [`SerializeError::Format`] naming that window. One parser serves every
+//! loader: it checks magic, version and checksum, validates each span with
+//! checked arithmetic before reading it, and leaves building the tables to
+//! the caller — a copy for [`model_from_bytes`] and [`load_model`], a
+//! borrow of the mapping for [`load_model_mapped`]. A header that lies
+//! about its shapes is therefore a typed error in every loader, never a
+//! panic or an allocation larger than the file.
+//!
+//! Both tables are zero-padded to a 64-byte boundary *measured from the
+//! start of the file*, which makes them directly memory-mappable:
+//! [`load_model_mapped`] maps the file, verifies the checksum
+//! (checksum-before-trust — a mapping is never handed out until its
+//! payload hashes clean), and builds `f32` tables that borrow the page
 //! cache instead of copying gigabytes through the heap. That turns a
 //! million-entity serving hot-swap into map + checksum + pointer install.
 //!
 //! A TSV export of concatenated entity embeddings is also provided for the
 //! §3.2 data-analysis workflow (feeding external tools).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::embedding::EmbeddingTable;
 use crate::mmap::{MappedBytes, MMAP_SUPPORTED};
@@ -57,19 +63,15 @@ const MAGIC: &[u8; 4] = b"MEIM";
 /// Models with neither extension keep writing version 4 bytes, so plain
 /// snapshots stay byte-for-byte stable across this format bump.
 const VERSION: u32 = 5;
-/// Version 4 added 64-byte table alignment for zero-copy mapped loads;
-/// still the write version for extension-free models.
+/// Version 4 (checksummed, tables 64-byte aligned) is the oldest version
+/// this build reads, and still the write version for extension-free
+/// models.
 const V4_VERSION: u32 = 4;
-/// Version 3 added the payload checksum; unaligned, still readable.
-const V3_VERSION: u32 = 3;
-/// Last version without a checksum field; still readable.
-const LEGACY_VERSION: u32 = 2;
-/// `magic | version | checksum` prefix length for checksummed formats
-/// (v3+); alignment offsets are measured from the start of the file, so
-/// the payload begins at this offset.
-const CHECKED_HEADER_LEN: usize = 16;
-/// Embedding tables start on multiples of this (v4+) — cache-line sized,
-/// and a multiple of every SIMD vector width the kernels use.
+/// `magic | version | checksum` prefix length; alignment offsets are
+/// measured from the start of the file, so the payload begins here.
+const HEADER_LEN: usize = 16;
+/// Embedding tables start on multiples of this — cache-line sized, and a
+/// multiple of every SIMD vector width the kernels use.
 const TABLE_ALIGN: usize = 64;
 /// v5 extension flag: the payload tail carries a block-term shape.
 const EXT_BLOCK_TERM: u8 = 1 << 0;
@@ -158,28 +160,10 @@ fn put_table(buf: &mut BytesMut, table: &EmbeddingTable) {
     }
 }
 
-fn get_table(
-    buf: &mut Bytes,
-    num_items: usize,
-    n: usize,
-    dim: usize,
-) -> Result<EmbeddingTable, SerializeError> {
-    let len = num_items * n * dim;
-    if buf.remaining() < len * 4 {
-        return Err(SerializeError::Format("truncated embedding table".into()));
-    }
-    let mut t = EmbeddingTable::zeros(num_items, n, dim);
-    for v in t.as_mut_slice() {
-        *v = buf.get_f32_le();
-    }
-    Ok(t)
-}
-
-/// Serializes the payload (everything the checksum covers). `aligned`
-/// inserts the v4 zero padding before each table, computed as if the
-/// payload starts at byte [`CHECKED_HEADER_LEN`] of the file; the legacy
-/// test fixtures pass `false` to reproduce the old unpadded layouts.
-fn payload_to_bytes(model: &MultiEmbedModel, aligned: bool) -> BytesMut {
+/// Serializes the payload (everything the checksum covers), zero-padding
+/// each table to a 64-byte offset computed as if the payload starts at
+/// byte [`HEADER_LEN`] of the file.
+fn payload_to_bytes(model: &MultiEmbedModel) -> BytesMut {
     let cfg = model.config();
     let mut buf = BytesMut::with_capacity(160 + 4 * model.num_params());
     buf.put_u32_le(cfg.n as u32);
@@ -193,13 +177,9 @@ fn payload_to_bytes(model: &MultiEmbedModel, aligned: bool) -> BytesMut {
         buf.put_f32_le(*w);
     }
     const ZEROS: [u8; TABLE_ALIGN] = [0u8; TABLE_ALIGN];
-    if aligned {
-        buf.put_slice(&ZEROS[..pad_len(CHECKED_HEADER_LEN + buf.len())]);
-    }
+    buf.put_slice(&ZEROS[..pad_len(HEADER_LEN + buf.len())]);
     put_table(&mut buf, &model.entities);
-    if aligned {
-        buf.put_slice(&ZEROS[..pad_len(CHECKED_HEADER_LEN + buf.len())]);
-    }
+    buf.put_slice(&ZEROS[..pad_len(HEADER_LEN + buf.len())]);
     put_table(&mut buf, &model.relations);
     let flags = extension_flags(model);
     if flags != 0 {
@@ -238,9 +218,9 @@ fn extension_flags(model: &MultiEmbedModel) -> u8 {
 /// block-term shape or interaction-norm state write version 5, which
 /// appends those after the relation table without moving the tables.
 pub fn model_to_bytes(model: &MultiEmbedModel) -> Bytes {
-    let payload = payload_to_bytes(model, true);
+    let payload = payload_to_bytes(model);
     let version = if extension_flags(model) != 0 { VERSION } else { V4_VERSION };
-    let mut buf = BytesMut::with_capacity(CHECKED_HEADER_LEN + payload.len());
+    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
     buf.put_slice(MAGIC);
     buf.put_u32_le(version);
     buf.put_u64_le(fnv1a64(&payload));
@@ -248,151 +228,116 @@ pub fn model_to_bytes(model: &MultiEmbedModel) -> Bytes {
     buf.freeze()
 }
 
-/// Header fields of a model file, plus checksum status — what
-/// [`peek_model_meta`] returns without building the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModelFileMeta {
-    /// Format version (2 = legacy no-checksum, 3 = checksummed,
-    /// 4 = checksummed + aligned tables, 5 = v4 + block-term /
-    /// interaction-norm extension tail).
-    pub version: u32,
-    /// Embeddings per entity (`n`).
-    pub n: usize,
-    /// Relation embeddings per relation.
-    pub n_rel: usize,
-    /// Per-embedding dimension.
-    pub dim: usize,
-    /// Entity vocabulary size.
-    pub num_entities: usize,
-    /// Relation vocabulary size.
-    pub num_relations: usize,
-    /// The payload checksum, when the format carries one (v3+).
-    pub checksum: Option<u64>,
-    /// Payload length in bytes.
-    pub payload_len: usize,
+/// Byte length of `dims.product()` little-endian `f32`s, or a
+/// "`what` size overflows" error — header values come from the file, so
+/// every size is computed with checked arithmetic before it is compared
+/// against the bytes present.
+fn f32_span(dims: &[usize], what: &str) -> Result<usize, SerializeError> {
+    dims.iter()
+        .try_fold(4usize, |len, &d| len.checked_mul(d))
+        .ok_or_else(|| SerializeError::Format(format!("{what} size overflows")))
 }
 
-/// Strips and validates the `magic | version [| checksum]` prefix,
-/// returning `(version, declared checksum)` with the cursor left at the
-/// start of the payload.
-fn take_header(buf: &mut Bytes) -> Result<(u32, Option<u64>), SerializeError> {
-    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
+/// Decodes a span of little-endian `f32`s (any alignment).
+fn decode_f32s(span: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    span.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+}
+
+/// A bounds-checked little-endian reader over one model file. `off`
+/// counts from the start of the file, which is what table alignment is
+/// measured against.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    off: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next `len` bytes, or "truncated `what`" when the file ends first.
+    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], SerializeError> {
+        let end = self
+            .off
+            .checked_add(len)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| SerializeError::Format(format!("truncated {what}")))?;
+        let span = &self.bytes[self.off..end];
+        self.off = end;
+        Ok(span)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8, SerializeError> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, SerializeError> {
+        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4-byte span")))
+    }
+
+    fn f32(&mut self, what: &str) -> Result<f32, SerializeError> {
+        self.u32(what).map(f32::from_bits)
+    }
+
+    /// Skips the zero padding that puts the next table on a
+    /// [`TABLE_ALIGN`] boundary.
+    fn align(&mut self) -> Result<(), SerializeError> {
+        self.take(pad_len(self.off), "alignment padding").map(drop)
+    }
+}
+
+/// The model-file parser behind every loader. It checks magic, version
+/// and checksum, then validates every span before reading it.
+/// `table(items, components, dim, offset)` builds an embedding table from
+/// the `items·components·dim` floats at byte `offset` of `bytes`; the
+/// range is in bounds and [`TABLE_ALIGN`]-aligned from the start of
+/// `bytes` by the time it is called.
+fn parse_model(
+    bytes: &[u8],
+    table: impl Fn(usize, usize, usize, usize) -> EmbeddingTable,
+) -> Result<MultiEmbedModel, SerializeError> {
+    let mut cur = Cursor { bytes, off: 0 };
+    if cur.take(MAGIC.len(), "magic").ok() != Some(&MAGIC[..]) {
         return Err(SerializeError::Format("bad magic (not a mei model file)".into()));
     }
-    if buf.remaining() < 4 {
-        return Err(SerializeError::Format("truncated header".into()));
-    }
-    let version = buf.get_u32_le();
-    match version {
-        LEGACY_VERSION => Ok((version, None)),
-        V3_VERSION | V4_VERSION | VERSION => {
-            if buf.remaining() < 8 {
-                return Err(SerializeError::Format("truncated header (missing checksum)".into()));
-            }
-            Ok((version, Some(buf.get_u64_le())))
-        }
-        other => Err(SerializeError::Format(format!(
-            "unsupported version {other} (this build reads versions {LEGACY_VERSION} \
+    let version = cur.u32("header")?;
+    if !(V4_VERSION..=VERSION).contains(&version) {
+        return Err(SerializeError::Format(format!(
+            "unsupported version {version} (this build reads versions {V4_VERSION} \
              through {VERSION})"
-        ))),
+        )));
     }
-}
-
-/// Verifies a declared checksum against the payload bytes.
-fn check_payload(declared: Option<u64>, payload: &[u8]) -> Result<(), SerializeError> {
-    if let Some(expected) = declared {
-        let actual = fnv1a64(payload);
-        if actual != expected {
-            return Err(SerializeError::Checksum { expected, actual });
-        }
+    let checksum = cur.take(8, "header (missing checksum)")?;
+    let expected = u64::from_le_bytes(checksum.try_into().expect("8-byte span"));
+    let actual = fnv1a64(&bytes[cur.off..]);
+    if actual != expected {
+        return Err(SerializeError::Checksum { expected, actual });
     }
-    Ok(())
-}
 
-/// Parses the header and — for checksummed formats — verifies the payload
-/// hash, WITHOUT materializing embedding tables. This is the cheap
-/// pre-flight a serving process runs before hot-swapping a snapshot: a
-/// half-written checkpoint fails here and the live snapshot stays up.
-pub fn peek_model_meta(mut buf: Bytes) -> Result<ModelFileMeta, SerializeError> {
-    let (version, checksum) = take_header(&mut buf)?;
-    check_payload(checksum, &buf)?;
-    if buf.remaining() < 22 {
-        return Err(SerializeError::Format("truncated payload header".into()));
-    }
-    let payload_len = buf.remaining();
-    let n = buf.get_u32_le() as usize;
-    let n_rel = buf.get_u32_le() as usize;
-    let dim = buf.get_u32_le() as usize;
-    let num_entities = buf.get_u32_le() as usize;
-    let num_relations = buf.get_u32_le() as usize;
-    Ok(ModelFileMeta { version, n, n_rel, dim, num_entities, num_relations, checksum, payload_len })
-}
-
-/// [`peek_model_meta`] for a file on disk.
-pub fn peek_model_file_meta<P: AsRef<Path>>(path: P) -> Result<ModelFileMeta, SerializeError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut data = Vec::new();
-    f.read_to_end(&mut data)?;
-    peek_model_meta(Bytes::from(data))
-}
-
-/// Deserializes a model from bytes. Accepts the current checksummed
-/// format and legacy version-2 files (which carry no checksum and are
-/// validated structurally only).
-pub fn model_from_bytes(mut buf: Bytes) -> Result<MultiEmbedModel, SerializeError> {
-    let (version, checksum) = take_header(&mut buf)?;
-    check_payload(checksum, &buf)?;
-    let payload_len = buf.remaining();
-    if buf.remaining() < 22 {
-        return Err(SerializeError::Format("truncated payload header".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    let n_rel = buf.get_u32_le() as usize;
-    let dim = buf.get_u32_le() as usize;
-    let num_entities = buf.get_u32_le() as usize;
-    let num_relations = buf.get_u32_le() as usize;
-    let restriction = restriction_from_tag(buf.get_u8())?;
-    let trainable = buf.get_u8() != 0;
+    let what = "payload header";
+    let n = cur.u32(what)? as usize;
+    let n_rel = cur.u32(what)? as usize;
+    let dim = cur.u32(what)? as usize;
+    let num_entities = cur.u32(what)? as usize;
+    let num_relations = cur.u32(what)? as usize;
+    let restriction = restriction_from_tag(cur.u8(what)?)?;
+    let trainable = cur.u8(what)? != 0;
     if n == 0 || n_rel == 0 || dim == 0 {
         return Err(SerializeError::Format("n, n_rel and dim must be positive".into()));
     }
-    let omega_len = n * n * n_rel;
-    if buf.remaining() < omega_len * 4 {
-        return Err(SerializeError::Format("truncated ω".into()));
-    }
-    let mut raw = vec![0.0f32; omega_len];
-    for w in &mut raw {
-        *w = buf.get_f32_le();
-    }
-    // v4 zero-pads each table to a 64-byte file offset; the pad width is
-    // derived from how much of the payload has been consumed so far.
-    let skip_table_pad = |buf: &mut Bytes| -> Result<(), SerializeError> {
-        if version < V4_VERSION {
-            return Ok(());
-        }
-        let consumed = payload_len - buf.remaining();
-        let pad = pad_len(CHECKED_HEADER_LEN + consumed);
-        if buf.remaining() < pad {
-            return Err(SerializeError::Format("truncated alignment padding".into()));
-        }
-        buf.advance(pad);
-        Ok(())
-    };
-    skip_table_pad(&mut buf)?;
-    let entities = get_table(&mut buf, num_entities, n, dim)?;
-    skip_table_pad(&mut buf)?;
-    let relations = get_table(&mut buf, num_relations, n_rel, dim)?;
-    let (shape, norm) = if version >= VERSION {
-        parse_extension_buf(&mut buf, n, n_rel, dim)?
-    } else {
-        (None, None)
-    };
+    let raw: Vec<f32> = decode_f32s(cur.take(f32_span(&[n, n, n_rel], "ω")?, "ω")?).collect();
+
+    cur.align()?;
+    let entities_at = cur.off;
+    cur.take(f32_span(&[num_entities, n, dim], "entity table")?, "embedding table")?;
+    cur.align()?;
+    let relations_at = cur.off;
+    cur.take(f32_span(&[num_relations, n_rel, dim], "relation table")?, "embedding table")?;
+    let (shape, norm) =
+        if version == VERSION { parse_extension(&mut cur, n, n_rel, dim)? } else { (None, None) };
 
     let cfg = ModelConfig { num_entities, num_relations, n, dim };
     let mut model = MultiEmbedModel::from_parts(
         cfg,
-        entities,
-        relations,
+        table(num_entities, n, dim, entities_at),
+        table(num_relations, n_rel, dim, relations_at),
         WeightVector::with_dims(n, n_rel, raw),
         restriction,
         trainable,
@@ -403,28 +348,22 @@ pub fn model_from_bytes(mut buf: Bytes) -> Result<MultiEmbedModel, SerializeErro
     Ok(model)
 }
 
-/// Parses the v5 extension tail (flags byte onward) from an owned buffer.
-fn parse_extension_buf(
-    buf: &mut Bytes,
+/// Parses the v5 extension tail (flags byte onward).
+fn parse_extension(
+    cur: &mut Cursor<'_>,
     n: usize,
     n_rel: usize,
     dim: usize,
 ) -> Result<(Option<BlockTermShape>, Option<InteractionNorm>), SerializeError> {
-    if buf.remaining() < 1 {
-        return Err(SerializeError::Format("truncated v5 extension flags".into()));
-    }
-    let flags = buf.get_u8();
+    let flags = cur.u8("v5 extension flags")?;
     if flags & !(EXT_BLOCK_TERM | EXT_INTERACTION_NORM) != 0 {
         return Err(SerializeError::Format(format!("unknown extension flags {flags:#04x}")));
     }
     let mut shape = None;
     if flags & EXT_BLOCK_TERM != 0 {
-        if buf.remaining() < 12 {
-            return Err(SerializeError::Format("truncated block-term extension".into()));
-        }
-        let k = buf.get_u32_le() as usize;
-        let ce = buf.get_u32_le() as usize;
-        let cr = buf.get_u32_le() as usize;
+        let what = "block-term extension";
+        let (k, ce, cr) =
+            (cur.u32(what)? as usize, cur.u32(what)? as usize, cur.u32(what)? as usize);
         let bt = BlockTermShape { k, ce, cr };
         if bt.n() != n || bt.n_rel() != n_rel {
             return Err(SerializeError::Format(format!(
@@ -436,21 +375,27 @@ fn parse_extension_buf(
     }
     let mut norm = None;
     if flags & EXT_INTERACTION_NORM != 0 {
-        let kdim = n * dim;
-        if buf.remaining() < 8 + 4 * 4 * kdim {
-            return Err(SerializeError::Format("truncated interaction-norm extension".into()));
-        }
-        let momentum = buf.get_f32_le();
-        let eps = buf.get_f32_le();
-        let mut flat = vec![0.0f32; 4 * kdim];
-        for v in &mut flat {
-            *v = buf.get_f32_le();
-        }
-        let mut nrm = InteractionNorm::identity(kdim, momentum, eps);
+        let what = "interaction-norm extension";
+        let momentum = cur.f32(what)?;
+        let eps = cur.f32(what)?;
+        let flat: Vec<f32> = decode_f32s(cur.take(f32_span(&[4, n, dim], what)?, what)?).collect();
+        let mut nrm = InteractionNorm::identity(n * dim, momentum, eps);
         nrm.restore_flat(&flat);
         norm = Some(nrm);
     }
     Ok((shape, norm))
+}
+
+/// Deserializes a model from bytes, copying both embedding tables out.
+pub fn model_from_bytes(buf: Bytes) -> Result<MultiEmbedModel, SerializeError> {
+    parse_model(&buf, |items, n, dim, offset| {
+        let mut table = EmbeddingTable::zeros(items, n, dim);
+        let span = &buf[offset..offset + 4 * table.len()];
+        for (v, x) in table.as_mut_slice().iter_mut().zip(decode_f32s(span)) {
+            *v = x;
+        }
+        table
+    })
 }
 
 /// Writes `bytes` to `path` atomically: the bytes land in a sibling temp
@@ -502,12 +447,9 @@ pub fn save_model<P: AsRef<Path>>(model: &MultiEmbedModel, path: P) -> Result<()
     write_bytes_atomic(path, &model_to_bytes(model))
 }
 
-/// Loads a model from a file.
+/// Loads a model from a file into owned tables.
 pub fn load_model<P: AsRef<Path>>(path: P) -> Result<MultiEmbedModel, SerializeError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut data = Vec::new();
-    f.read_to_end(&mut data)?;
-    model_from_bytes(Bytes::from(data))
+    model_from_bytes(Bytes::from(std::fs::read(path)?))
 }
 
 /// Loads a model by memory-mapping the file instead of copying it.
@@ -521,137 +463,19 @@ pub fn load_model<P: AsRef<Path>>(path: P) -> Result<MultiEmbedModel, SerializeE
 /// weights (a handful of floats) are copied out. Scores are bit-identical
 /// to a [`load_model`] of the same file.
 ///
-/// Files older than version 4 lack the alignment padding and fall back to
-/// the owned loader, as do platforms where the mapping FFI is not
-/// supported or the byte order does not match the little-endian file
-/// layout.
+/// Platforms where the mapping FFI is not supported, or whose byte order
+/// does not match the little-endian file layout, load owned tables
+/// through [`load_model`] instead.
 pub fn load_model_mapped<P: AsRef<Path>>(path: P) -> Result<MultiEmbedModel, SerializeError> {
     let path = path.as_ref();
     if !MMAP_SUPPORTED || !cfg!(target_endian = "little") {
         return load_model(path);
     }
     let map = Arc::new(MappedBytes::map_file(path)?);
-    model_from_mapped(map)
-}
-
-/// Reads a little-endian `u32` at `off`; bounds were checked by callers.
-fn u32_at(bytes: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte slice"))
-}
-
-/// The zero-copy parse behind [`load_model_mapped`]; assumes a
-/// little-endian host (the caller gates on it).
-fn model_from_mapped(map: Arc<MappedBytes>) -> Result<MultiEmbedModel, SerializeError> {
     let bytes: &[u8] = &map;
-    if bytes.len() < 8 || &bytes[..4] != MAGIC {
-        return Err(SerializeError::Format("bad magic (not a mei model file)".into()));
-    }
-    let version = u32_at(bytes, 4);
-    if version == LEGACY_VERSION || version == V3_VERSION {
-        // Pre-alignment formats: parse owned from the mapped bytes.
-        return model_from_bytes(Bytes::from(bytes.to_vec()));
-    }
-    if version != V4_VERSION && version != VERSION {
-        return Err(SerializeError::Format(format!(
-            "unsupported version {version} (this build reads versions {LEGACY_VERSION} \
-             through {VERSION})"
-        )));
-    }
-    if bytes.len() < CHECKED_HEADER_LEN + 22 {
-        return Err(SerializeError::Format("truncated payload header".into()));
-    }
-    let expected = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-    let payload = &bytes[CHECKED_HEADER_LEN..];
-    let actual = fnv1a64(payload);
-    if actual != expected {
-        return Err(SerializeError::Checksum { expected, actual });
-    }
-
-    let n = u32_at(payload, 0) as usize;
-    let n_rel = u32_at(payload, 4) as usize;
-    let dim = u32_at(payload, 8) as usize;
-    let num_entities = u32_at(payload, 12) as usize;
-    let num_relations = u32_at(payload, 16) as usize;
-    let restriction = restriction_from_tag(payload[20])?;
-    let trainable = payload[21] != 0;
-    if n == 0 || n_rel == 0 || dim == 0 {
-        return Err(SerializeError::Format("n, n_rel and dim must be positive".into()));
-    }
-
-    // Every span below is validated against the payload length before it
-    // is touched; `checked_mul` keeps absurd header values from wrapping
-    // the arithmetic into a bounds check that "passes".
-    let span = |items: usize, comps: usize, what: &str| -> Result<usize, SerializeError> {
-        items
-            .checked_mul(comps)
-            .and_then(|v| v.checked_mul(dim))
-            .and_then(|v| v.checked_mul(4))
-            .ok_or_else(|| SerializeError::Format(format!("{what} size overflows")))
-    };
-    let omega_bytes = n
-        .checked_mul(n)
-        .and_then(|v| v.checked_mul(n_rel))
-        .and_then(|v| v.checked_mul(4))
-        .ok_or_else(|| SerializeError::Format("ω size overflows".into()))?;
-    let mut off = 22usize;
-    if payload.len() < off + omega_bytes {
-        return Err(SerializeError::Format("truncated ω".into()));
-    }
-    let omega_len = omega_bytes / 4;
-    let mut raw = Vec::with_capacity(omega_len);
-    for i in 0..omega_len {
-        raw.push(f32::from_le_bytes(
-            payload[off + i * 4..off + i * 4 + 4].try_into().expect("4-byte slice"),
-        ));
-    }
-    off += omega_bytes;
-
-    off += pad_len(CHECKED_HEADER_LEN + off);
-    let ent_bytes = span(num_entities, n, "entity table")?;
-    if payload.len() < off.saturating_add(ent_bytes) {
-        return Err(SerializeError::Format("truncated embedding table".into()));
-    }
-    let entities =
-        EmbeddingTable::from_mapped(num_entities, n, dim, Arc::clone(&map), CHECKED_HEADER_LEN + off);
-    off += ent_bytes;
-
-    off += pad_len(CHECKED_HEADER_LEN + off);
-    let rel_bytes = span(num_relations, n_rel, "relation table")?;
-    if payload.len() < off.saturating_add(rel_bytes) {
-        return Err(SerializeError::Format("truncated embedding table".into()));
-    }
-    let relations = EmbeddingTable::from_mapped(
-        num_relations,
-        n_rel,
-        dim,
-        Arc::clone(&map),
-        CHECKED_HEADER_LEN + off,
-    );
-    off += rel_bytes;
-
-    // The v5 extension sits after the relation table; it is a handful of
-    // scalars plus the norm state, so it is copied out owned — the big
-    // embedding tables above stay mapped.
-    let (shape, norm) = if version >= VERSION {
-        let mut tail = Bytes::from(payload[off..].to_vec());
-        parse_extension_buf(&mut tail, n, n_rel, dim)?
-    } else {
-        (None, None)
-    };
-
-    let cfg = ModelConfig { num_entities, num_relations, n, dim };
-    let mut model = MultiEmbedModel::from_parts(
-        cfg,
-        entities,
-        relations,
-        WeightVector::with_dims(n, n_rel, raw),
-        restriction,
-        trainable,
-    );
-    model.set_block_term(shape);
-    model.set_interaction_norm(norm);
-    model.refresh_omega();
-    Ok(model)
+    parse_model(bytes, |items, n, dim, offset| {
+        EmbeddingTable::from_mapped(items, n, dim, Arc::clone(&map), offset)
+    })
 }
 
 /// Writes concatenated entity embeddings as TSV (`name \t v0 \t v1 …`) for
@@ -672,7 +496,7 @@ pub fn export_entity_embeddings_tsv<W: Write>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::weights::WeightPreset;
     use mei_kg::Triple;
@@ -682,6 +506,32 @@ mod tests {
     fn model() -> MultiEmbedModel {
         let mut rng = StdRng::seed_from_u64(3);
         MultiEmbedModel::from_preset(WeightPreset::ComplEx, 7, 3, 5, &mut rng)
+    }
+
+    fn header_version(bytes: &[u8]) -> u32 {
+        u32::from_le_bytes(bytes[4..8].try_into().unwrap())
+    }
+
+    /// A 106-byte file whose checksum is valid but whose header declares
+    /// n = n_rel = 1, dim = |E| = 2³¹, |R| = 1: the entity span
+    /// |E|·n·dim·4 = 2⁶⁴ wraps to 0 in unchecked arithmetic. Payload: one
+    /// ω float and 64 zero bytes.
+    pub(crate) fn wrapping_span_file(version: u32) -> Vec<u8> {
+        let mut payload = BytesMut::new();
+        for field in [1u32, 1, 1 << 31, 1 << 31, 1] {
+            payload.put_u32_le(field);
+        }
+        payload.put_u8(0);
+        payload.put_u8(0);
+        payload.put_f32_le(1.0);
+        payload.put_slice(&[0u8; 64]);
+        let mut file = BytesMut::new();
+        file.put_slice(MAGIC);
+        file.put_u32_le(version);
+        file.put_u64_le(fnv1a64(&payload));
+        file.put_slice(&payload);
+        assert_eq!(file.len(), 106);
+        file.to_vec()
     }
 
     #[test]
@@ -740,33 +590,43 @@ mod tests {
         let m = model();
         let bytes = model_to_bytes(&m);
         let truncated = bytes.slice(0..bytes.len() - 8);
-        // A truncated v3 file dies at the checksum, before any parsing.
+        // A truncated file dies at the checksum, before any parsing.
         assert!(matches!(
             model_from_bytes(truncated).unwrap_err(),
             SerializeError::Checksum { .. }
         ));
     }
 
-    /// Serializes in the retired version-2 layout (no checksum field) —
-    /// what pre-format-guard builds wrote to disk.
-    fn legacy_v2_bytes(m: &MultiEmbedModel) -> Bytes {
-        let payload = payload_to_bytes(m, false);
-        let mut buf = BytesMut::with_capacity(8 + payload.len());
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(LEGACY_VERSION);
-        buf.put_slice(&payload);
-        buf.freeze()
+    #[test]
+    fn wrapping_table_span_is_a_format_error_in_every_loader() {
+        let bytes = wrapping_span_file(V4_VERSION);
+        let err = model_from_bytes(Bytes::from(bytes.clone())).unwrap_err();
+        assert!(matches!(err, SerializeError::Format(_)), "{err}");
+        assert!(err.to_string().contains("entity table size overflows"), "{err}");
+        let path = std::env::temp_dir().join(format!("mei_wrap_{}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        for err in [load_model(&path).unwrap_err(), load_model_mapped(&path).unwrap_err()] {
+            assert!(matches!(err, SerializeError::Format(_)), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn still_reads_legacy_v2_files() {
-        let m = model();
-        let m2 = model_from_bytes(legacy_v2_bytes(&m)).unwrap();
-        assert_eq!(m.entities.as_slice(), m2.entities.as_slice());
-        assert_eq!(m.config(), m2.config());
-        let meta = peek_model_meta(legacy_v2_bytes(&m)).unwrap();
-        assert_eq!(meta.version, LEGACY_VERSION);
-        assert_eq!(meta.checksum, None);
+    fn pre_v4_versions_are_unsupported_in_every_loader() {
+        let path = std::env::temp_dir().join(format!("mei_old_{}.bin", std::process::id()));
+        for version in [2, 3] {
+            let bytes = wrapping_span_file(version);
+            std::fs::write(&path, &bytes).unwrap();
+            for err in [
+                model_from_bytes(Bytes::from(bytes)).unwrap_err(),
+                load_model(&path).unwrap_err(),
+                load_model_mapped(&path).unwrap_err(),
+            ] {
+                assert!(matches!(err, SerializeError::Format(_)), "{err}");
+                assert!(err.to_string().contains("unsupported version"), "{err}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -782,29 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_meta_reports_shape_and_validates_checksum() {
-        let m = model();
-        let bytes = model_to_bytes(&m);
-        let meta = peek_model_meta(bytes.clone()).unwrap();
-        // Extension-free models keep writing version 4 — byte stability.
-        assert_eq!(meta.version, V4_VERSION);
-        assert_eq!(meta.n, 2);
-        assert_eq!(meta.dim, 5);
-        assert_eq!(meta.num_entities, 7);
-        assert_eq!(meta.num_relations, 3);
-        assert!(meta.checksum.is_some());
-        assert_eq!(meta.payload_len, bytes.len() - 16);
-
-        let mut corrupt = bytes.to_vec();
-        let idx = corrupt.len() - 1;
-        corrupt[idx] ^= 1;
-        assert!(matches!(
-            peek_model_meta(Bytes::from(corrupt)).unwrap_err(),
-            SerializeError::Checksum { .. }
-        ));
-    }
-
-    #[test]
     fn file_meta_round_trip_and_fnv_vector() {
         // FNV-1a 64 known-answer: "" and "a".
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
@@ -812,8 +649,12 @@ mod tests {
         let m = model();
         let path = std::env::temp_dir().join(format!("mei_meta_{}.bin", std::process::id()));
         save_model(&m, &path).unwrap();
-        let meta = peek_model_file_meta(&path).unwrap();
-        assert_eq!(meta.num_entities, 7);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
+            fnv1a64(&bytes[HEADER_LEN..])
+        );
+        assert_eq!(load_model(&path).unwrap().config(), m.config());
         std::fs::remove_file(&path).ok();
     }
 
@@ -849,36 +690,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Serializes in the version-3 layout (checksummed, no alignment
-    /// padding) — what pre-mmap builds wrote to disk.
-    fn v3_bytes(m: &MultiEmbedModel) -> Bytes {
-        let payload = payload_to_bytes(m, false);
-        let mut buf = BytesMut::with_capacity(16 + payload.len());
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(V3_VERSION);
-        buf.put_u64_le(fnv1a64(&payload));
-        buf.put_slice(&payload);
-        buf.freeze()
-    }
-
-    #[test]
-    fn still_reads_v3_files() {
-        let m = model();
-        let m2 = model_from_bytes(v3_bytes(&m)).unwrap();
-        assert_eq!(m.entities.as_slice(), m2.entities.as_slice());
-        assert_eq!(m.relations.as_slice(), m2.relations.as_slice());
-        let meta = peek_model_meta(v3_bytes(&m)).unwrap();
-        assert_eq!(meta.version, V3_VERSION);
-        assert!(meta.checksum.is_some());
-    }
-
     #[test]
     fn v4_tables_are_64_byte_aligned_from_file_start() {
         let m = model();
         let bytes = model_to_bytes(&m);
+        // Extension-free models keep writing version 4 — byte stability.
+        assert_eq!(header_version(&bytes), V4_VERSION);
         // Walk the layout: header 16 | meta 22 | ω | pad | entities | pad.
         let omega_bytes = 4 * m.raw_omega().dense().len();
-        let mut off = CHECKED_HEADER_LEN + 22 + omega_bytes;
+        let mut off = HEADER_LEN + 22 + omega_bytes;
         off += pad_len(off);
         assert_eq!(off % TABLE_ALIGN, 0);
         // The entity table bytes at `off` decode to the model's values.
@@ -932,17 +752,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn mapped_load_falls_back_to_owned_for_old_versions() {
-        let m = model();
-        let path = std::env::temp_dir().join(format!("mei_mapped_v3_{}.bin", std::process::id()));
-        write_bytes_atomic(&path, &v3_bytes(&m)).unwrap();
-        let loaded = load_model_mapped(&path).unwrap();
-        assert!(!loaded.entities.is_mapped());
-        assert_eq!(loaded.entities.as_slice(), m.entities.as_slice());
-        std::fs::remove_file(&path).ok();
-    }
-
     fn block_term_model() -> MultiEmbedModel {
         let mut rng = StdRng::seed_from_u64(11);
         MultiEmbedModel::block_term(
@@ -967,8 +776,7 @@ mod tests {
             nrm.running_var[2] = 2.0;
         }
         let bytes = model_to_bytes(&m);
-        let meta = peek_model_meta(bytes.clone()).unwrap();
-        assert_eq!(meta.version, VERSION);
+        assert_eq!(header_version(&bytes), VERSION);
 
         let m2 = model_from_bytes(bytes).unwrap();
         assert_eq!(m2.block_term_shape(), m.block_term_shape());
@@ -1004,7 +812,7 @@ mod tests {
     #[test]
     fn truncated_v5_extension_is_rejected() {
         let m = block_term_model();
-        let payload = payload_to_bytes(&m, true);
+        let payload = payload_to_bytes(&m);
         // Drop the last 4 bytes of the extension and re-checksum, so the
         // failure exercises the structural extension check (not the hash).
         let cut = &payload[..payload.len() - 4];

@@ -871,7 +871,7 @@ mod tests {
     use super::*;
     use crate::model::ModelConfig;
     use crate::weights::{WeightPreset, WeightRestriction};
-    use mei_eval::TripleScorer;
+    use mei_eval::{BlockQuery, TripleScorer};
     use mei_kg::Dictionary;
 
     /// A 12-entity graph with a deterministic "successor" relation and its
@@ -1360,7 +1360,8 @@ mod tests {
         cfg.max_epochs = 3;
         Trainer::new(cfg).train(&mut model, &ds, &filter);
         let mut out = vec![0.0; model.num_entities()];
-        model.score_all_tails(mei_kg::EntityId(0), mei_kg::RelationId(0), &mut out);
+        let query = BlockQuery::tails(mei_kg::EntityId(0), mei_kg::RelationId(0));
+        model.score_block(&[query], &mut out);
         assert!(out.iter().all(|v| v.is_finite()));
     }
 }

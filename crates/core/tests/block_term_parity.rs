@@ -31,6 +31,7 @@ use mei_core::trainer::{LossKind, SamplingStrategy, TrainConfig, Trainer};
 use mei_core::weights::WeightRestriction;
 use mei_eval::{BlockQuery, TripleScorer};
 use mei_kg::{Dataset, EntityId, RelationId};
+use mei_math::kernels::dot_fast;
 use mei_obs::{EpochRecord, EvalRecord, JsonlObserver, RunSummary, TrainObserver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -461,12 +462,14 @@ proptest! {
         ];
         let mut blocked = vec![0.0f32; queries.len() * ne];
         fresh.score_block(&queries, &mut blocked);
-        let mut tails = vec![0.0f32; ne];
-        fresh.score_all_tails(EntityId(t.head.0), RelationId(t.relation.0), &mut tails);
-        let mut heads = vec![0.0f32; ne];
-        fresh.score_all_heads(EntityId(t.tail.0), RelationId(t.relation.0), &mut heads);
-        prop_assert_eq!(bits(&blocked[..ne]), bits(&tails));
-        prop_assert_eq!(bits(&blocked[ne..]), bits(&heads));
+        let mut ctx = vec![0.0f32; fresh.entities.row_len()];
+        let per_query = |ctx: &[f32]| -> Vec<f32> {
+            (0..ne).map(|e| dot_fast(ctx, fresh.entities.row(e))).collect()
+        };
+        fresh.tail_context(EntityId(t.head.0), RelationId(t.relation.0), &mut ctx);
+        prop_assert_eq!(bits(&blocked[..ne]), bits(&per_query(&ctx)));
+        fresh.head_context(EntityId(t.tail.0), RelationId(t.relation.0), &mut ctx);
+        prop_assert_eq!(bits(&blocked[ne..]), bits(&per_query(&ctx)));
 
         let mut cfg = reg_config(seed ^ 0x9e37);
         cfg.max_epochs = 3;

@@ -6,8 +6,7 @@
 
 use mei_core::checkpoint::{checkpoint_from_bytes, checkpoint_to_bytes};
 use mei_core::serialize::{
-    load_model, load_model_mapped, model_from_bytes, model_to_bytes, peek_model_file_meta,
-    save_model,
+    load_model, load_model_mapped, model_from_bytes, model_to_bytes, save_model,
 };
 use mei_core::{ModelConfig, MultiEmbedModel, TrainCheckpoint, WeightPreset, WeightRestriction};
 use mei_kg::Triple;
@@ -46,15 +45,16 @@ fn mapped_and_owned_loads_score_bit_identically() {
 }
 
 #[test]
-fn v4_meta_peeks_like_any_other_version() {
+fn plain_models_are_written_and_mapped_as_version_4() {
     let m = model(8);
     let path = temp("mm_meta");
     save_model(&m, &path).unwrap();
-    let meta = peek_model_file_meta(&path).unwrap();
-    assert_eq!(meta.version, 4);
-    assert_eq!(meta.num_entities, 40);
-    assert_eq!(meta.num_relations, 5);
-    assert!(meta.checksum.is_some());
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(&bytes[..4], b"MEIM");
+    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 4);
+    let mapped = load_model_mapped(&path).unwrap();
+    assert_eq!(mapped.config().num_entities, 40);
+    assert_eq!(mapped.config().num_relations, 5);
     std::fs::remove_file(&path).ok();
 }
 

@@ -4,8 +4,7 @@
 //! The scorer is a synthetic matrix model (entity table + per-query
 //! context) rather than mei-core's full model — mei-core depends on this
 //! crate, so the bench rebuilds the same compute shape from mei-math
-//! kernels. Compared paths: the blocked `score_block` GEMM pipeline vs
-//! the per-query default that scores one row at a time.
+//! kernels and times the blocked `score_block` GEMM pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mei_eval::ranking::evaluate_with_stats;
@@ -20,9 +19,8 @@ const K: usize = 400;
 const NUM_TRIPLES: usize = 64;
 
 /// Entity table + a cheap deterministic context per `(anchor, relation)`:
-/// `ctx = (1 + r/4) · row(anchor)`, scored as `dot(ctx, row(e))`. Shares
-/// `dot_fast`/`gemm_nt` with mei-core's model, so the two paths here are
-/// bit-identical just like the real evaluator.
+/// `ctx = (1 + r/4) · row(anchor)`, scored as `dot(ctx, row(e))` — the
+/// same `dot_fast`/`gemm_nt` reduction mei-core's model uses.
 struct MatScorer {
     ne: usize,
     table: Vec<f32>,
@@ -49,42 +47,12 @@ impl TripleScorer for MatScorer {
         dot_fast(&ctx, &self.table[tail.idx() * K..(tail.idx() + 1) * K])
     }
 
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
-        let mut ctx = vec![0.0f32; K];
-        self.context(head, relation, &mut ctx);
-        for (e, slot) in out.iter_mut().enumerate() {
-            *slot = dot_fast(&ctx, &self.table[e * K..(e + 1) * K]);
-        }
-    }
-
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        self.score_all_tails(tail, relation, out)
-    }
-
     fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
         let mut ctxs = vec![0.0f32; queries.len() * K];
         for (q, ctx) in queries.iter().zip(ctxs.chunks_mut(K)) {
             self.context(q.anchor, q.relation, ctx);
         }
         gemm_nt(&ctxs, &self.table, K, out);
-    }
-}
-
-/// Same scorer, `score_block` hidden: the per-query fallback path.
-struct Unblocked<'a>(&'a MatScorer);
-
-impl TripleScorer for Unblocked<'_> {
-    fn num_entities(&self) -> usize {
-        self.0.num_entities()
-    }
-    fn score(&self, h: EntityId, t: EntityId, r: RelationId) -> f32 {
-        self.0.score(h, t, r)
-    }
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
-        self.0.score_all_tails(head, relation, out)
-    }
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        self.0.score_all_heads(tail, relation, out)
     }
 }
 
@@ -106,19 +74,13 @@ fn bench_eval_pipeline(c: &mut Criterion) {
     let filter: TripleStore = triples.iter().copied().collect();
     let config = EvalConfig::default();
 
-    // Sanity: the two paths rank identically before we time them.
-    let (_, filt_blocked, _) = evaluate_with_stats(&scorer, &triples, &filter, &config);
-    let (_, filt_single, _) = evaluate_with_stats(&Unblocked(&scorer), &triples, &filter, &config);
-    assert_eq!(filt_blocked.mrr.to_bits(), filt_single.mrr.to_bits());
-    assert_eq!(filt_blocked.num_queries, 2 * NUM_TRIPLES);
+    let (_, filt, _) = evaluate_with_stats(&scorer, &triples, &filter, &config);
+    assert_eq!(filt.num_queries, 2 * NUM_TRIPLES);
 
     let mut group = c.benchmark_group("eval_41000e_400d");
     group.sample_size(10);
     group.bench_function("evaluate (blocked gemm)", |b| {
         b.iter(|| evaluate_with_stats(&scorer, &triples, &filter, &config))
-    });
-    group.bench_function("evaluate (per-query simd)", |b| {
-        b.iter(|| evaluate_with_stats(&Unblocked(&scorer), &triples, &filter, &config))
     });
     group.finish();
 }

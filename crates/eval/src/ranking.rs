@@ -383,7 +383,9 @@ pub fn select_top_k(scores: &[f32], k: usize, excluded: &[EntityId]) -> Vec<(Ent
         excluded.windows(2).all(|w| w[0] < w[1]),
         "excluded must be sorted and deduplicated"
     );
-    let mut top: Vec<(EntityId, f32)> = Vec::with_capacity(k + 1);
+    // No answer can hold more than every candidate, so an oversized `k`
+    // (straight off the wire or the command line) reserves nothing extra.
+    let mut top: Vec<(EntityId, f32)> = Vec::with_capacity(k.min(scores.len()) + 1);
     if k == 0 {
         return top;
     }
@@ -463,13 +465,13 @@ pub fn top_k_heads<S: TripleScorer>(
     top_k(scorer, Side::Head, tail, relation, k, exclude)
 }
 
-/// The pre-serving-engine prediction path, kept as the reference
-/// implementation: one `score_all_tails`/`score_all_heads` pass per
-/// request, then a full filter + sort + truncate over every entity.
+/// The serving oracle: scores the one query through
+/// [`TripleScorer::score_block`], then filters, fully sorts and truncates
+/// every candidate instead of running [`select_top_k`]'s bounded
+/// insertion.
 ///
-/// `repro bench-serve` measures the batched engine against this baseline,
-/// and the serving correctness tests use it as the oracle batched and
-/// cached answers must match element-for-element.
+/// The serving correctness tests and `repro bench-serve` require batched
+/// and cached engine answers to match it element for element.
 pub fn top_k_reference<S: TripleScorer>(
     scorer: &S,
     side: Side,
@@ -480,16 +482,11 @@ pub fn top_k_reference<S: TripleScorer>(
 ) -> Vec<(EntityId, f32)> {
     let ne = scorer.num_entities();
     let mut scores = vec![0.0f32; ne];
-    let excluded = match side {
-        Side::Tail => {
-            scorer.score_all_tails(anchor, relation, &mut scores);
-            exclude.tails_of(anchor, relation)
-        }
-        Side::Head => {
-            scorer.score_all_heads(anchor, relation, &mut scores);
-            exclude.heads_of(anchor, relation)
-        }
+    let (query, excluded) = match side {
+        Side::Tail => (BlockQuery::tails(anchor, relation), exclude.tails_of(anchor, relation)),
+        Side::Head => (BlockQuery::heads(anchor, relation), exclude.heads_of(anchor, relation)),
     };
+    scorer.score_block(std::slice::from_ref(&query), &mut scores);
     let mut candidates: Vec<(EntityId, f32)> = (0..ne)
         .map(|i| (EntityId(i as u32), scores[i]))
         .filter(|(e, _)| !excluded.contains(e))
@@ -636,6 +633,15 @@ mod tests {
         assert!(select_top_k(&scores, 0, &[]).is_empty());
         let all: Vec<EntityId> = (0..3).map(EntityId).collect();
         assert!(select_top_k(&scores, 2, &all).is_empty());
+    }
+
+    #[test]
+    fn select_top_k_beyond_the_candidates_returns_them_all() {
+        let scores = [3.0f32, 1.0, 2.0];
+        let want = vec![(EntityId(0), 3.0), (EntityId(2), 2.0), (EntityId(1), 1.0)];
+        for k in [3, 1 << 60, usize::MAX] {
+            assert_eq!(select_top_k(&scores, k, &[]), want, "k = {k}");
+        }
     }
 
     mod properties {
@@ -905,7 +911,7 @@ mod tests {
     #[test]
     fn blocked_evaluation_matches_manual_per_query_loop() {
         // The planner + score_block pipeline must reproduce exactly what a
-        // naive per-triple loop over score_all_tails/heads computes.
+        // naive per-triple loop over pointwise scores computes.
         let s = TableScorer {
             num_entities: 12,
             f: |h, t, r| ((h * 31 + t * 7 + r * 3) % 13) as f32 - 6.0,
@@ -920,12 +926,16 @@ mod tests {
         let mut filt_ref = MetricsAccumulator::new(&config.hits_at);
         let mut buf = vec![0.0f32; s.num_entities()];
         for t in &triples {
-            s.score_all_tails(t.head, t.relation, &mut buf);
+            for (e, slot) in buf.iter_mut().enumerate() {
+                *slot = s.score(t.head, EntityId(e as u32), t.relation);
+            }
             let obs =
                 rank_triple_detailed(&buf, t.tail, filter.tails_of(t.head, t.relation), config.tie_policy);
             raw_ref.push(t.relation, Side::Tail, obs.pair.raw);
             filt_ref.push(t.relation, Side::Tail, obs.pair.filtered);
-            s.score_all_heads(t.tail, t.relation, &mut buf);
+            for (e, slot) in buf.iter_mut().enumerate() {
+                *slot = s.score(EntityId(e as u32), t.tail, t.relation);
+            }
             let obs =
                 rank_triple_detailed(&buf, t.head, filter.heads_of(t.tail, t.relation), config.tie_policy);
             raw_ref.push(t.relation, Side::Head, obs.pair.raw);

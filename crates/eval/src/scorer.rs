@@ -35,10 +35,13 @@ impl BlockQuery {
 /// A scoring function over triples: higher means "more likely valid"
 /// (§2.1's prediction component).
 ///
-/// Implementors should override the batched methods when they have a
-/// faster path than scoring entities one by one — the multi-embedding
-/// models precompute the head/relation (or tail/relation) interaction once
-/// and then score each candidate in `O(n·D)` (see `mei-core`).
+/// Evaluation, [`crate::ranking::top_k`] and the serving engine score
+/// every candidate row through [`TripleScorer::score_block`].
+/// Implementors with a faster path than scoring candidates one by one
+/// override it — the multi-embedding models precompute each query's
+/// head/relation (or tail/relation) interaction once and score the whole
+/// block with one cache-blocked GEMM over the entity table (see
+/// `mei-core`).
 pub trait TripleScorer: Sync {
     /// Number of entities in the vocabulary (candidates for corruption).
     fn num_entities(&self) -> usize;
@@ -46,40 +49,21 @@ pub trait TripleScorer: Sync {
     /// Score of a single triple.
     fn score(&self, head: EntityId, tail: EntityId, relation: RelationId) -> f32;
 
-    /// Scores `(h, t', r)` for every tail candidate `t' ∈ 0..num_entities`
-    /// into `out` (`out.len() == num_entities`).
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.num_entities());
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.score(head, EntityId(i as u32), relation);
-        }
-    }
-
-    /// Scores `(h', t, r)` for every head candidate `h' ∈ 0..num_entities`
-    /// into `out`.
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.num_entities());
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.score(EntityId(i as u32), tail, relation);
-        }
-    }
-
     /// Scores a whole block of queries against every entity.
     ///
     /// `out` is row-major `queries.len() × num_entities`; row `q` receives
-    /// the candidate scores of `queries[q]`. The default delegates to
-    /// [`TripleScorer::score_all_tails`] / [`TripleScorer::score_all_heads`]
-    /// row by row; implementors with a matrix fast path (mei-core's blocked
-    /// GEMM over the entity table) override it so the evaluator's blocked
-    /// ranking pipeline streams the entity table once per block instead of
-    /// once per query.
+    /// the candidate scores of `queries[q]`. The default scores each
+    /// candidate pointwise through [`TripleScorer::score`].
     fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
         let ne = self.num_entities();
         debug_assert_eq!(out.len(), queries.len() * ne);
         for (q, row) in queries.iter().zip(out.chunks_mut(ne)) {
-            match q.side {
-                Side::Tail => self.score_all_tails(q.anchor, q.relation, row),
-                Side::Head => self.score_all_heads(q.anchor, q.relation, row),
+            for (i, slot) in row.iter_mut().enumerate() {
+                let candidate = EntityId(i as u32);
+                *slot = match q.side {
+                    Side::Tail => self.score(q.anchor, candidate, q.relation),
+                    Side::Head => self.score(candidate, q.anchor, q.relation),
+                };
             }
         }
     }
@@ -93,14 +77,6 @@ impl<M: TripleScorer + ?Sized> TripleScorer for &M {
 
     fn score(&self, head: EntityId, tail: EntityId, relation: RelationId) -> f32 {
         (**self).score(head, tail, relation)
-    }
-
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
-        (**self).score_all_tails(head, relation, out)
-    }
-
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        (**self).score_all_heads(tail, relation, out)
     }
 
     fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
@@ -136,17 +112,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_batched_methods_agree_with_pointwise() {
+    fn default_score_block_agrees_with_pointwise() {
         let s = TableScorer { num_entities: 5, f: |h, t, r| (h * 100 + t * 10 + r) as f32 };
-        let mut tails = vec![0.0; 5];
-        s.score_all_tails(EntityId(2), RelationId(1), &mut tails);
-        for (i, v) in tails.iter().enumerate() {
-            assert_eq!(*v, s.score(EntityId(2), EntityId(i as u32), RelationId(1)));
-        }
-        let mut heads = vec![0.0; 5];
-        s.score_all_heads(EntityId(3), RelationId(0), &mut heads);
-        for (i, v) in heads.iter().enumerate() {
-            assert_eq!(*v, s.score(EntityId(i as u32), EntityId(3), RelationId(0)));
+        let queries = [BlockQuery::tails(EntityId(2), RelationId(1)), BlockQuery::heads(EntityId(3), RelationId(0))];
+        let mut out = vec![0.0; 2 * 5];
+        s.score_block(&queries, &mut out);
+        for i in 0..5u32 {
+            assert_eq!(out[i as usize], s.score(EntityId(2), EntityId(i), RelationId(1)));
+            assert_eq!(out[5 + i as usize], s.score(EntityId(i), EntityId(3), RelationId(0)));
         }
     }
 

@@ -8,10 +8,10 @@
 //! `(side, anchor, relation)` queries, and score each distinct query row
 //! through one [`TripleScorer::score_block`] call — the same blocked GEMM
 //! the evaluator uses — before answering every parked request with
-//! [`mei_eval::select_top_k`]. Because single-query and batched paths both
-//! go through `score_block` (whose kernel shares its reduction with the
-//! pointwise scorer), batched answers are bit-identical to per-query ones;
-//! the proptests in `tests/` pin this against the naive
+//! [`mei_eval::select_top_k`]. A query's scores are the same bits whether
+//! it is scored alone or in a block (`gemm_nt` reduces every score
+//! independently of its neighbours), so batched answers equal single-query
+//! ones; the proptests in `tests/` pin this against the
 //! [`mei_eval::top_k_reference`] oracle.
 
 use crate::cache::{CacheKey, CacheStats, CachedAnswer, ShardedLruCache};
@@ -598,6 +598,10 @@ impl Engine {
             }));
         }
 
+        // No query can return more than |E| entities, so clamping changes
+        // no answer; it keeps an absurd wire `k` out of the cache key, the
+        // screen width and the top-k reservations.
+        let k = k.min(cfg.num_entities);
         let query = match side {
             Side::Tail => BlockQuery::tails(anchor, relation),
             Side::Head => BlockQuery::heads(anchor, relation),

@@ -20,12 +20,13 @@
 //! * `stats` — one object with the full serving metrics snapshot plus
 //!   cache hit/miss counters.
 //! * `ping` — liveness probe.
-//! * `swap` — hot-swaps the model from `model_file`. The file's header and
-//!   checksum are validated with `peek_model_file_meta` *before* the model
-//!   is built, so a truncated or corrupt checkpoint is rejected without
-//!   disturbing the serving snapshot. Dictionaries and the exclusion set
-//!   are carried over from the current snapshot (a swap replaces
-//!   parameters, not the vocabulary).
+//! * `swap` — hot-swaps the model from `model_file` through
+//!   `load_model_mapped`, which validates the header, checksum and every
+//!   table span *before* any table is trusted, so a truncated, corrupt or
+//!   unsupported-version file is answered with a `model_invalid` error
+//!   without disturbing the serving snapshot. Dictionaries and the
+//!   exclusion set are carried over from the current snapshot (a swap
+//!   replaces parameters, not the vocabulary).
 //! * `shutdown` — acknowledges, then stops the server.
 //!
 //! Errors come back as `{"ok":false,"error":"…"}` and never kill the
@@ -255,11 +256,10 @@ fn swap_response(engine: &Engine, model_file: &str) -> Result<JsonValue, WireErr
         kind: "model_invalid",
         message: e.to_string(),
     };
-    // The mapped loader validates the header and checksum before any
-    // table is trusted (checksum-before-trust), so a truncated or
-    // corrupt checkpoint is rejected without disturbing the serving
-    // snapshot — and a valid v4 checkpoint is installed as zero-copy
-    // mapped views instead of a deserialized copy.
+    // The mapped loader validates the header, checksum and table spans
+    // before any table is trusted (checksum-before-trust), so a bad file
+    // is rejected without disturbing the serving snapshot — and a valid
+    // one is installed as zero-copy mapped views instead of a copy.
     let model = mei_core::serialize::load_model_mapped(model_file).map_err(invalid)?;
     let (current, _) = engine.snapshot();
     let next = Snapshot {

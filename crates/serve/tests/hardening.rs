@@ -208,3 +208,68 @@ fn overload_recovers_once_the_queue_drains() {
     }
     server.shutdown();
 }
+
+/// Reads one response line, failing the test if none arrives within 5 s.
+fn read_response_within_5s(stream: &TcpStream) -> JsonValue {
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    read_response(stream)
+}
+
+#[test]
+fn oversized_k_is_clamped_and_the_connection_keeps_answering() {
+    // The engine's model has 20 entities and no exclusions, so any k past
+    // 20 must answer with all 20 — without sizing anything by k itself.
+    let mut server = server(engine(ServeConfig::default()), ServerConfig::default());
+    let mut client = TcpStream::connect(server.local_addr()).unwrap();
+    for k in ["1000000000000000000", "2000000000000000000", "3"] {
+        send_line(
+            &mut client,
+            &format!(r#"{{"op":"predict","side":"tail","anchor":0,"relation":0,"k":{k}}}"#),
+        );
+        let response = read_response_within_5s(&client);
+        assert_eq!(response.get("ok"), Some(&JsonValue::Bool(true)), "k={k}: {response:?}");
+        let results = response.get("results").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(results.len(), if k == "3" { 3 } else { 20 }, "k={k}");
+    }
+    server.shutdown();
+}
+
+/// A 106-byte model file under format version 3 with a valid FNV-1a
+/// checksum, whose header declares n = n_rel = 1, dim = |E| = 2³¹ and
+/// |R| = 1 — an entity span of 2⁶⁴ bytes, which wraps to 0 unchecked.
+fn wrapping_span_v3_file() -> Vec<u8> {
+    let mut payload = Vec::new();
+    for field in [1u32, 1, 1 << 31, 1 << 31, 1] {
+        payload.extend_from_slice(&field.to_le_bytes());
+    }
+    payload.extend_from_slice(&[0, 0]); // restriction, trainable
+    payload.extend_from_slice(&1.0f32.to_le_bytes()); // ω
+    payload.extend_from_slice(&[0u8; 64]);
+    let checksum = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut file = b"MEIM".to_vec();
+    file.extend_from_slice(&3u32.to_le_bytes());
+    file.extend_from_slice(&checksum.to_le_bytes());
+    file.extend_from_slice(&payload);
+    assert_eq!(file.len(), 106);
+    file
+}
+
+#[test]
+fn swap_to_an_unsupported_version_file_is_rejected_and_the_connection_survives() {
+    let path = std::env::temp_dir().join(format!("mei_hardening_v3_{}.bin", std::process::id()));
+    std::fs::write(&path, wrapping_span_v3_file()).unwrap();
+    let mut server = server(engine(ServeConfig::default()), ServerConfig::default());
+    let mut client = TcpStream::connect(server.local_addr()).unwrap();
+
+    send_line(&mut client, &format!(r#"{{"op":"swap","model_file":"{}"}}"#, path.display()));
+    let response = read_response_within_5s(&client);
+    assert_eq!(response.get("ok"), Some(&JsonValue::Bool(false)), "{response:?}");
+    assert_eq!(kind_of(&response), Some("model_invalid"), "{response:?}");
+
+    send_line(&mut client, r#"{"op":"ping"}"#);
+    assert_eq!(read_response_within_5s(&client).get("ok"), Some(&JsonValue::Bool(true)));
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}

@@ -1,31 +1,40 @@
 //! Regression tests for the blocked evaluation pipeline: the GEMM-backed
-//! `score_block` path must reproduce the per-query path bit-for-bit, and —
-//! on exact-arithmetic (grid-quantized) models — the naive `score()` loop
-//! too, under every tie policy.
+//! `score_block` path must reproduce the per-query oracle bit-for-bit, and
+//! — on exact-arithmetic (grid-quantized) models — the naive `score()`
+//! loop too, under every tie policy.
 
 use mei::eval::ranking::{evaluate_with_stats, rank_triple_detailed};
 use mei::eval::{BlockQuery, EvalConfig, Side, TiePolicy};
+use mei::math::dot_fast;
 use mei::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Forwards the model's per-query SIMD path but hides `score_block`,
-/// so the evaluator falls back to one `score_all_*` call per query.
-struct NoBlock<'a>(&'a MultiEmbedModel);
+/// The per-query oracle: one interaction context per query, then
+/// `dot_fast` against every entity row. `gemm_nt` reduces each score
+/// exactly like `dot_fast`, so the blocked path must match it bit for bit.
+struct PerQuery<'a>(&'a MultiEmbedModel);
 
-impl TripleScorer for NoBlock<'_> {
+impl TripleScorer for PerQuery<'_> {
     fn num_entities(&self) -> usize {
         self.0.num_entities()
     }
     fn score(&self, h: EntityId, t: EntityId, r: RelationId) -> f32 {
         self.0.score(h, t, r)
     }
-    fn score_all_tails(&self, head: EntityId, relation: RelationId, out: &mut [f32]) {
-        self.0.score_all_tails(head, relation, out)
-    }
-    fn score_all_heads(&self, tail: EntityId, relation: RelationId, out: &mut [f32]) {
-        self.0.score_all_heads(tail, relation, out)
+    fn score_block(&self, queries: &[BlockQuery], out: &mut [f32]) {
+        let model = self.0;
+        let mut ctx = vec![0.0f32; model.entities.row_len()];
+        for (q, row) in queries.iter().zip(out.chunks_mut(model.num_entities())) {
+            match q.side {
+                Side::Tail => model.tail_context(q.anchor, q.relation, &mut ctx),
+                Side::Head => model.head_context(q.anchor, q.relation, &mut ctx),
+            }
+            for (e, slot) in row.iter_mut().enumerate() {
+                *slot = dot_fast(&ctx, model.entities.row(e));
+            }
+        }
     }
 }
 
@@ -65,31 +74,38 @@ fn assert_results_bitwise_equal(
 /// The headline acceptance check: on a synthetic WN-style dataset, the
 /// blocked pipeline's raw AND filtered metrics — plus every piece of
 /// telemetry except wall time — are bitwise identical to the per-query
-/// fallback, under every tie policy.
+/// oracle, under every tie policy. At dim 200 (n·D = 400) the entity
+/// table outgrows one `gemm_nt` cache block, so scores cross a block
+/// boundary.
 #[test]
 fn blocked_metrics_are_bitwise_identical_to_per_query_path() {
     let ds = SynthWnConfig::at_scale(SynthWnScale::Tiny, 9).generate();
     let filter = ds.filter_store();
-    let mut rng = StdRng::seed_from_u64(42);
-    let model = MultiEmbedModel::from_preset(
-        WeightPreset::ComplEx,
-        ds.num_entities(),
-        ds.num_relations(),
-        24,
-        &mut rng,
-    );
-    for policy in [TiePolicy::Optimistic, TiePolicy::Average, TiePolicy::Pessimistic] {
-        let config = EvalConfig { hits_at: vec![1, 3, 10], tie_policy: policy };
-        let (raw_b, filt_b, stats_b) = evaluate_with_stats(&model, &ds.test, &filter, &config);
-        let (raw_q, filt_q, stats_q) =
-            evaluate_with_stats(&NoBlock(&model), &ds.test, &filter, &config);
-        let label = format!("policy {}", policy.name());
-        assert_results_bitwise_equal(&raw_b, &raw_q, &format!("{label} raw"));
-        assert_results_bitwise_equal(&filt_b, &filt_q, &format!("{label} filtered"));
-        assert_eq!(stats_b.queries, stats_q.queries);
-        assert_eq!(stats_b.tied_queries, stats_q.tied_queries);
-        assert_eq!(stats_b.head_ranks, stats_q.head_ranks);
-        assert_eq!(stats_b.tail_ranks, stats_q.tail_ranks);
+    for dim in [24, 200] {
+        let mut rng = StdRng::seed_from_u64(42);
+        let model = MultiEmbedModel::from_preset(
+            WeightPreset::ComplEx,
+            ds.num_entities(),
+            ds.num_relations(),
+            dim,
+            &mut rng,
+        );
+        // gemm_nt streams the entity table in 256 KB blocks.
+        let blocks = (4 * model.entities.len()).div_ceil(256 * 1024);
+        assert_eq!(blocks, if dim == 200 { 2 } else { 1 });
+        for policy in [TiePolicy::Optimistic, TiePolicy::Average, TiePolicy::Pessimistic] {
+            let config = EvalConfig { hits_at: vec![1, 3, 10], tie_policy: policy };
+            let (raw_b, filt_b, stats_b) = evaluate_with_stats(&model, &ds.test, &filter, &config);
+            let (raw_q, filt_q, stats_q) =
+                evaluate_with_stats(&PerQuery(&model), &ds.test, &filter, &config);
+            let label = format!("dim {dim}, policy {}", policy.name());
+            assert_results_bitwise_equal(&raw_b, &raw_q, &format!("{label} raw"));
+            assert_results_bitwise_equal(&filt_b, &filt_q, &format!("{label} filtered"));
+            assert_eq!(stats_b.queries, stats_q.queries);
+            assert_eq!(stats_b.tied_queries, stats_q.tied_queries);
+            assert_eq!(stats_b.head_ranks, stats_q.head_ranks);
+            assert_eq!(stats_b.tail_ranks, stats_q.tail_ranks);
+        }
     }
 }
 
@@ -117,9 +133,9 @@ fn quantize(model: &mut MultiEmbedModel) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// On quantized models the blocked kernel, the per-query kernel, and
-    /// the naive score() loop produce identical score vectors, identical
-    /// raw/filtered ranks, and identical tie counts under every policy.
+    /// On quantized models the blocked kernel and the naive score() loop
+    /// produce identical score vectors, identical raw/filtered ranks, and
+    /// identical tie counts under every policy.
     #[test]
     fn blocked_ranks_match_naive_scoring_on_quantized_models(
         seed in 0u64..10_000,
@@ -150,10 +166,7 @@ proptest! {
         model.score_block(&queries, &mut blocked);
         let mut naive_row = vec![0.0f32; ne];
         for (q, brow) in queries.iter().zip(blocked.chunks(ne)) {
-            match q.side {
-                Side::Tail => naive.score_all_tails(q.anchor, q.relation, &mut naive_row),
-                Side::Head => naive.score_all_heads(q.anchor, q.relation, &mut naive_row),
-            }
+            naive.score_block(std::slice::from_ref(q), &mut naive_row);
             for (a, b) in brow.iter().zip(&naive_row) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }

@@ -2,6 +2,7 @@
 //! algebraic identities that must hold for every shape, seed and ω.
 
 use mei::core::serialize::{model_from_bytes, model_to_bytes};
+use mei::eval::BlockQuery;
 use mei::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -57,10 +58,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let model = MultiEmbedModel::with_fixed_weights(
             cfg, WeightVector::new(2, omega), &mut rng);
-        let mut tails = vec![0.0f32; 8];
-        model.score_all_tails(EntityId(3), RelationId(1), &mut tails);
-        let mut heads = vec![0.0f32; 8];
-        model.score_all_heads(EntityId(2), RelationId(0), &mut heads);
+        let queries = [
+            BlockQuery::tails(EntityId(3), RelationId(1)),
+            BlockQuery::heads(EntityId(2), RelationId(0)),
+        ];
+        let mut out = vec![0.0f32; 2 * 8];
+        model.score_block(&queries, &mut out);
+        let (tails, heads) = out.split_at(8);
         for e in 0..8u32 {
             let pt = model.score_triple(Triple::new(3, e, 1));
             prop_assert!((tails[e as usize] - pt).abs() < 1e-4);
