@@ -8,9 +8,12 @@
 //! permutation, histories) with FNV-1a, and compares the hash with the
 //! one recorded when the case was added.
 //!
-//! The recorded hashes come from the AVX2+FMA kernels, so they are
-//! asserted only where [`mei_math::kernels::avx2_fma_enabled`] holds (as
-//! on the CI runners). Elsewhere each case checks that two runs agree.
+//! The recorded hashes come from the AVX2+FMA kernels, and they are
+//! asserted at both SIMD tiers: wherever
+//! [`mei_math::kernels::avx2_fma_enabled`] holds, which covers the
+//! AVX-512 tier too, whose `gemm_nt` tiles must reproduce the AVX2 bits.
+//! On the portable tier, which may round differently in the last bit,
+//! each case checks that two runs agree.
 //!
 //! A deliberate change to a training trajectory updates the table below
 //! and says why in the change's notes; an accidental one fails here.

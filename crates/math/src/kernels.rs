@@ -11,45 +11,40 @@
 //!   SIMD FMAs.
 //! * [`gemm_nt`] — a cache-blocked `out = A · Bᵀ` over row-major inputs
 //!   that streams each block of B (the entity table) through L2 exactly
-//!   once per block of A rows (the packed query contexts).
+//!   once per block of A rows (the packed query contexts), and scores it in
+//!   register tiles of several (query, entity) pairs at once.
 //!
 //! # Determinism contract
 //!
 //! Every element of [`gemm_nt`]'s output is computed by the *same*
 //! reduction (same lane count, same combine tree, same FMA usage) as one
-//! [`dot_fast`] call on the corresponding rows. Blocking only reorders
-//! *which* (row, column) pairs are computed when — never the arithmetic
-//! inside one pair — so the blocked evaluation path produces bit-identical
-//! scores to the per-query path within a process. On x86-64 the kernels
-//! dispatch once (cached) to a hand-written AVX2+FMA variant when the CPU
-//! supports it; both callers go through the same dispatch, preserving the
-//! bit-identity. (The AVX2 and portable variants may differ from *each
-//! other* in the last bit — the contract is within a process, not across
-//! machines.)
+//! [`dot_fast`] call on the corresponding rows. Blocking and register
+//! tiling only reorder *which* (row, column) pairs are computed when, and
+//! how many at once — never the arithmetic inside one pair — so the blocked
+//! evaluation path produces bit-identical scores to the per-query path
+//! within a process. On x86-64 the kernels dispatch once (cached, see
+//! [`crate::dispatch`]) to one of three tiers, and both callers go through
+//! the same dispatch, preserving the bit-identity:
+//!
+//! * **AVX-512** runs `gemm_nt` in zmm tiles whose two 256-bit halves are
+//!   two independent 8-lane accumulators; every other f32 kernel here runs
+//!   its AVX2 body. Its results equal the AVX2 tier's bit for bit.
+//! * **AVX2+FMA** runs the hand-written ymm kernels.
+//! * **Portable** runs the unrolled scalar bodies. It may differ from both
+//!   SIMD tiers in the last bit — the contract is within a process, not
+//!   across machines.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::dispatch::{level, Level};
 
 /// Number of independent accumulator lanes. Eight f32 lanes fill one AVX2
 /// register (or two SSE2 registers) and are enough to hide FMA latency.
 const LANES: usize = 8;
 
-/// Dispatch cache: 0 = undetected, 1 = portable, 2 = AVX2+FMA.
-static SIMD_LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the AVX2+FMA fast path is active (detected once per process).
+/// Whether the AVX2+FMA kernels are active (the [`Level::Avx2Fma`] tier or
+/// above, detected once per process).
 #[inline]
 pub fn avx2_fma_enabled() -> bool {
-    match SIMD_LEVEL.load(Ordering::Relaxed) {
-        0 => {
-            #[cfg(target_arch = "x86_64")]
-            let has = std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
-            #[cfg(not(target_arch = "x86_64"))]
-            let has = false;
-            SIMD_LEVEL.store(if has { 2 } else { 1 }, Ordering::Relaxed);
-            has
-        }
-        level => level == 2,
-    }
+    level() >= Level::Avx2Fma
 }
 
 /// The shared dot-product body: eight independent accumulators over
@@ -130,15 +125,18 @@ fn hadamard_axpy_body<const FMA: bool>(alpha: f32, a: &[f32], b: &[f32], out: &m
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! Hand-written AVX2+FMA kernels. Four 256-bit accumulators hide the
-    //! FMA latency chain; the horizontal reduction order is fixed, so the
-    //! same inputs always produce the same bits on this path. Callers must
-    //! check [`super::avx2_fma_enabled`] first.
+    //! Hand-written AVX2+FMA kernels, plus the AVX-512 `gemm_nt` tile. Four
+    //! 256-bit accumulators hide the FMA latency chain; the horizontal
+    //! reduction order is fixed, so the same inputs always produce the same
+    //! bits on this path. Callers must check [`super::avx2_fma_enabled`]
+    //! first, and the [`Level::Avx512`](crate::dispatch::Level::Avx512)
+    //! tier before [`gemm_nt_avx512`].
     use super::rows_per_block;
     use std::arch::x86_64::*;
 
-    /// Shared dot kernel: the one reduction both [`dot`] and [`gemm_nt`]
-    /// use, which is what makes blocked and per-query scores bit-identical.
+    /// Shared dot kernel: the one reduction [`dot`] runs and every
+    /// `gemm_nt` tile replicates, which is what makes blocked and
+    /// per-query scores bit-identical.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn dot_inner(a: *const f32, b: *const f32, len: usize) -> f32 {
@@ -400,20 +398,289 @@ mod x86 {
         }
     }
 
+    /// [`dot_inner`]'s lane-combine tree
+    /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` in three shuffle-and-add
+    /// steps. Every add takes the lower lane as its first operand, so each
+    /// step rounds exactly like the scalar tree.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn gemm_nt(a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
+    unsafe fn combine8(v: __m256) -> f32 {
+        // Lane 2j ← l(2j) + l(2j+1), then lane 4j ← t(4j) + t(4j+2).
+        let t = _mm256_add_ps(v, _mm256_permute_ps::<0b10_11_00_01>(v));
+        let u = _mm256_add_ps(t, _mm256_permute_ps::<0b01_00_11_10>(t));
+        _mm_cvtss_f32(_mm_add_ss(_mm256_castps256_ps128(u), _mm256_extractf128_ps::<1>(u)))
+    }
+
+    /// `R` query rows against one entity row: each 8-float entity chunk is
+    /// loaded once for the `4·R` accumulators it feeds. Per output this is
+    /// [`dot_inner`] step for step: four accumulators over 32-float
+    /// strides, `(acc0+acc1)+(acc2+acc3)`, the 8-float remainder FMAs, the
+    /// lane combine and the scalar FMA tail.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available; `a` must point at `R` rows of `len`
+    /// floats each, back to back, and `b` at one row of `len` floats.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rows_tile<const R: usize>(a: *const f32, b: *const f32, len: usize) -> [f32; R] {
+        let mut acc = [[_mm256_setzero_ps(); 4]; R];
+        let mut i = 0usize;
+        while i + 32 <= len {
+            for q in 0..4 {
+                let bv = _mm256_loadu_ps(b.add(i + 8 * q));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let av = _mm256_loadu_ps(a.add(r * len + i + 8 * q));
+                    acc_r[q] = _mm256_fmadd_ps(av, bv, acc_r[q]);
+                }
+            }
+            i += 32;
+        }
+        let mut tot = [_mm256_setzero_ps(); R];
+        for (t, q4) in tot.iter_mut().zip(&acc) {
+            *t = _mm256_add_ps(_mm256_add_ps(q4[0], q4[1]), _mm256_add_ps(q4[2], q4[3]));
+        }
+        while i + 8 <= len {
+            let bv = _mm256_loadu_ps(b.add(i));
+            for (r, t) in tot.iter_mut().enumerate() {
+                *t = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(r * len + i)), bv, *t);
+            }
+            i += 8;
+        }
+        let mut s = [0.0f32; R];
+        for (r, (s_r, t)) in s.iter_mut().zip(&tot).enumerate() {
+            *s_r = combine8(*t);
+            for d in i..len {
+                *s_r = (*a.add(r * len + d)).mul_add(*b.add(d), *s_r);
+            }
+        }
+        s
+    }
+
+    /// The `R` query rows `arows` against every entity row of one block.
+    /// Output row `r` starts at `orows[r·n]`, and this block's columns at
+    /// `j0` within it.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rows_block<const R: usize>(
+        arows: &[f32],
+        bblock: &[f32],
+        k: usize,
+        orows: &mut [f32],
+        n: usize,
+        j0: usize,
+    ) {
+        assert_eq!(arows.len(), R * k, "a {R}-row tile needs {R} rows of {k}");
+        for j in 0..bblock.len() / k {
+            let s = rows_tile::<R>(arows.as_ptr(), bblock.as_ptr().add(j * k), k);
+            for (r, v) in s.into_iter().enumerate() {
+                orows[r * n + j0 + j] = v;
+            }
+        }
+    }
+
+    /// AVX2 `gemm_nt`: per L2 block of entity rows, tiles of three query
+    /// rows × one entity row (twelve ymm accumulators), then a two- or
+    /// one-row tile for the ragged rows.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available; shapes as [`super::gemm_nt`] checks.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn gemm_nt_avx2(a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
         let m = a.len() / k;
         let n = b.len() / k;
         let nb = rows_per_block(k);
         for (block_idx, bblock) in b.chunks(nb * k).enumerate() {
             let j0 = block_idx * nb;
-            let bn = bblock.len() / k;
-            for i in 0..m {
-                let arow = a.as_ptr().add(i * k);
-                let orow = &mut out[i * n + j0..i * n + j0 + bn];
-                for (j, slot) in orow.iter_mut().enumerate() {
-                    *slot = dot_inner(arow, bblock.as_ptr().add(j * k), k);
+            let mut i = 0usize;
+            while i < m {
+                let w = (m - i).min(3);
+                let arows = &a[i * k..(i + w) * k];
+                let orows = &mut out[i * n..(i + w) * n];
+                match w {
+                    3 => rows_block::<3>(arows, bblock, k, orows, n, j0),
+                    2 => rows_block::<2>(arows, bblock, k, orows, n, j0),
+                    _ => rows_block::<1>(arows, bblock, k, orows, n, j0),
                 }
+                i += w;
+            }
+        }
+    }
+
+    /// One 8-float chunk of a query row pair: row `2p`'s chunk in the low
+    /// half, row `2p+1`'s in the high half. 64-byte aligned, so each chunk
+    /// is one aligned zmm load.
+    #[derive(Clone, Copy)]
+    #[repr(C, align(64))]
+    struct PairChunk([f32; 16]);
+
+    /// [`combine8`] on both 256-bit halves of `v` at once, in three
+    /// shuffle-and-add steps whose adds keep the lower lane first. Returns
+    /// the low half's sum, then the high half's.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx2,fma")]
+    unsafe fn combine8x2(v: __m512) -> (f32, f32) {
+        let t = _mm512_add_ps(v, _mm512_permute_ps::<0b10_11_00_01>(v));
+        let u = _mm512_add_ps(t, _mm512_permute_ps::<0b01_00_11_10>(t));
+        // Lanes 0 and 8 ← u0 + u4 and u8 + u12.
+        let w = _mm512_add_ps(u, _mm512_shuffle_f32x4::<0b00_11_00_01>(u, u));
+        (_mm512_cvtss_f32(w), _mm_cvtss_f32(_mm512_extractf32x4_ps::<2>(w)))
+    }
+
+    /// `P` query row pairs × `E` entity rows. Each zmm accumulator holds
+    /// the two independent 8-lane accumulators of one row pair, and each
+    /// 8-float entity chunk is broadcast into both halves, so per output
+    /// this is [`dot_inner`] step for step (see [`rows_tile`]).
+    ///
+    /// # Safety
+    /// AVX-512 F/VL/DQ, AVX2 and FMA must be available. `pa` must point at
+    /// the pairs' `P·(len/8)` chunks (pair `p`'s chunk `c` at
+    /// `pa + p·(len/8) + c`), `a` at their `2P` unpacked rows of `len`
+    /// floats (read by the scalar tail), `b` at `E` entity rows of `len`
+    /// floats, and `o + r·n + e` must be writable for every row `r < 2P`
+    /// and entity `e < E`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx2,fma")]
+    unsafe fn pair_tile<const P: usize, const E: usize>(
+        pa: *const PairChunk,
+        a: *const f32,
+        b: *const f32,
+        len: usize,
+        o: *mut f32,
+        n: usize,
+    ) {
+        let chunks = len / 8;
+        let mut acc = [[[_mm512_setzero_ps(); 4]; P]; E];
+        let mut av = [_mm512_setzero_ps(); P];
+        let mut i = 0usize;
+        while i + 32 <= len {
+            for q in 0..4 {
+                for (p, v) in av.iter_mut().enumerate() {
+                    *v = _mm512_load_ps(pa.add(p * chunks + i / 8 + q) as *const f32);
+                }
+                for (e, acc_e) in acc.iter_mut().enumerate() {
+                    let bv = _mm512_broadcast_f32x8(_mm256_loadu_ps(b.add(e * len + i + 8 * q)));
+                    for (acc_ep, v) in acc_e.iter_mut().zip(&av) {
+                        acc_ep[q] = _mm512_fmadd_ps(*v, bv, acc_ep[q]);
+                    }
+                }
+            }
+            i += 32;
+        }
+        let mut tot = [[_mm512_setzero_ps(); P]; E];
+        for (tot_e, acc_e) in tot.iter_mut().zip(&acc) {
+            for (t, q4) in tot_e.iter_mut().zip(acc_e) {
+                *t = _mm512_add_ps(_mm512_add_ps(q4[0], q4[1]), _mm512_add_ps(q4[2], q4[3]));
+            }
+        }
+        while i + 8 <= len {
+            for (p, v) in av.iter_mut().enumerate() {
+                *v = _mm512_load_ps(pa.add(p * chunks + i / 8) as *const f32);
+            }
+            for (e, tot_e) in tot.iter_mut().enumerate() {
+                let bv = _mm512_broadcast_f32x8(_mm256_loadu_ps(b.add(e * len + i)));
+                for (t, v) in tot_e.iter_mut().zip(&av) {
+                    *t = _mm512_fmadd_ps(*v, bv, *t);
+                }
+            }
+            i += 8;
+        }
+        for (e, tot_e) in tot.iter().enumerate() {
+            for (p, t) in tot_e.iter().enumerate() {
+                let (lo, hi) = combine8x2(*t);
+                for (h, mut s) in [lo, hi].into_iter().enumerate() {
+                    let r = 2 * p + h;
+                    for d in i..len {
+                        s = (*a.add(r * len + d)).mul_add(*b.add(e * len + d), s);
+                    }
+                    *o.add(r * n + e) = s;
+                }
+            }
+        }
+    }
+
+    /// The `P` row pairs `pairs` (unpacked: `arows`) against every entity
+    /// row of one block: three entities per tile, then a narrower tile for
+    /// the ragged end. Output row `r` starts at `orows[r·n]`, and this
+    /// block's columns at `j0` within it.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx2,fma")]
+    unsafe fn pair_block<const P: usize>(
+        pairs: &[PairChunk],
+        arows: &[f32],
+        bblock: &[f32],
+        k: usize,
+        orows: &mut [f32],
+        n: usize,
+        j0: usize,
+    ) {
+        let bn = bblock.len() / k;
+        assert!(
+            arows.len() == 2 * P * k
+                && pairs.len() == P * (k / 8)
+                && orows.len() == 2 * P * n
+                && j0 + bn <= n,
+            "{P}-pair tile shapes disagree"
+        );
+        let (pa, a, b) = (pairs.as_ptr(), arows.as_ptr(), bblock.as_ptr());
+        let o = orows.as_mut_ptr().add(j0);
+        let mut j = 0usize;
+        while j + 3 <= bn {
+            pair_tile::<P, 3>(pa, a, b.add(j * k), k, o.add(j), n);
+            j += 3;
+        }
+        match bn - j {
+            2 => pair_tile::<P, 2>(pa, a, b.add(j * k), k, o.add(j), n),
+            1 => pair_tile::<P, 1>(pa, a, b.add(j * k), k, o.add(j), n),
+            _ => {}
+        }
+    }
+
+    /// AVX-512 `gemm_nt`: the query block is packed into row pairs once
+    /// per call (at most `m·k` floats), then per L2 block of entity rows,
+    /// tiles of two pairs (four query rows) × three entity rows — 24 zmm
+    /// accumulators — with a one-pair tile and the AVX2 one-row tile for
+    /// the ragged rows. Below two rows there is nothing to pair, so the
+    /// AVX2 path runs.
+    ///
+    /// # Safety
+    /// AVX-512 F/VL/DQ, AVX2 and FMA must be available; shapes as
+    /// [`super::gemm_nt`] checks.
+    #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx2,fma")]
+    pub(super) unsafe fn gemm_nt_avx512(a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
+        let m = a.len() / k;
+        if m < 2 {
+            return gemm_nt_avx2(a, b, k, out);
+        }
+        let n = b.len() / k;
+        let (npairs, chunks) = (m / 2, k / 8);
+        let mut packed = Vec::with_capacity(npairs * chunks);
+        for pair in a.chunks_exact(2 * k) {
+            let (r0, r1) = pair.split_at(k);
+            for (c0, c1) in r0.chunks_exact(8).zip(r1.chunks_exact(8)) {
+                let mut chunk = PairChunk([0.0; 16]);
+                chunk.0[..8].copy_from_slice(c0);
+                chunk.0[8..].copy_from_slice(c1);
+                packed.push(chunk);
+            }
+        }
+        let nb = rows_per_block(k);
+        for (block_idx, bblock) in b.chunks(nb * k).enumerate() {
+            let j0 = block_idx * nb;
+            let mut p = 0usize;
+            while p < npairs {
+                let w = (npairs - p).min(2);
+                let pairs = &packed[p * chunks..(p + w) * chunks];
+                let arows = &a[2 * p * k..2 * (p + w) * k];
+                let orows = &mut out[2 * p * n..2 * (p + w) * n];
+                match w {
+                    2 => pair_block::<2>(pairs, arows, bblock, k, orows, n, j0),
+                    _ => pair_block::<1>(pairs, arows, bblock, k, orows, n, j0),
+                }
+                p += w;
+            }
+            if m % 2 == 1 {
+                let i = m - 1;
+                rows_block::<1>(&a[i * k..m * k], bblock, k, &mut out[i * n..m * n], n, j0);
             }
         }
     }
@@ -709,9 +976,12 @@ pub fn gemm_nt(a: &[f32], b: &[f32], k: usize, out: &mut [f32]) {
         b.len() / k
     );
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma_enabled() {
-        // SAFETY: dispatch guarantees AVX2+FMA are available.
-        return unsafe { x86::gemm_nt(a, b, k, out) };
+    match level() {
+        // SAFETY: each tier is detected only where its instruction sets
+        // are available; shapes were checked above.
+        Level::Avx512 => return unsafe { x86::gemm_nt_avx512(a, b, k, out) },
+        Level::Avx2Fma => return unsafe { x86::gemm_nt_avx2(a, b, k, out) },
+        Level::Portable => {}
     }
     gemm_nt_body::<false>(a, b, k, out)
 }
@@ -937,26 +1207,67 @@ mod tests {
         }
     }
 
+    /// A `gemm_nt` tier with the dot product its outputs must equal.
+    type Tier = (&'static str, fn(&[f32], &[f32], usize, &mut [f32]), fn(&[f32], &[f32]) -> f32);
+
+    /// The dispatched `gemm_nt` plus every tier this CPU runs, called
+    /// directly, so the AVX2 tile stays tested on AVX-512 hosts. The SIMD
+    /// tiers must reproduce `dot_fast`; the portable body reproduces the
+    /// portable dot.
+    fn gemm_tiers() -> Vec<Tier> {
+        let mut tiers: Vec<Tier> = vec![
+            ("dispatched", gemm_nt, dot_fast),
+            ("portable", gemm_nt_body::<false>, dot_body::<false>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if level() >= Level::Avx2Fma {
+                // SAFETY: the level check guarantees AVX2 and FMA.
+                tiers.push(("avx2", |a, b, k, out| unsafe { x86::gemm_nt_avx2(a, b, k, out) }, dot_fast));
+            }
+            if level() >= Level::Avx512 {
+                // SAFETY: the level check guarantees AVX-512 F/VL/DQ, AVX2 and FMA.
+                tiers.push(("avx512", |a, b, k, out| unsafe { x86::gemm_nt_avx512(a, b, k, out) }, dot_fast));
+            }
+        }
+        tiers
+    }
+
     #[test]
     fn gemm_matches_per_row_dot_bitwise() {
         // The determinism contract: every gemm output element must be the
-        // exact bits dot_fast produces on the same rows, for shapes that
-        // cross the cache-block boundary.
+        // exact bits the dot kernel produces on the same rows. The shapes
+        // sit on every tile edge: m around the 3-row and 4-row tiles and
+        // the odd row, k around the 8- and 32-float strides, and n ragged
+        // against the 3-entity tile in the last block. At the eval widths
+        // (k = 400, 404) n spans two cache blocks; (2, 9000, 64) and
+        // (5, 70_000, 12) cross many.
         let mut rng = StdRng::seed_from_u64(4);
-        for (m, n, k) in [(1, 1, 1), (3, 5, 7), (4, 300, 8), (2, 9000, 64), (5, 70_000, 12)] {
+        let mut shapes = vec![(1, 1, 1), (3, 5, 7), (4, 300, 8), (2, 9000, 64), (5, 70_000, 12)];
+        for k in [1, 7, 8, 9, 31, 32, 33, 400, 404] {
+            let n = if k >= 400 { rows_per_block(k) + 4 } else { 7 };
+            for m in [1, 2, 3, 4, 5, 32, 33] {
+                shapes.push((m, n, k));
+            }
+        }
+        let tiers = gemm_tiers();
+        for (m, n, k) in shapes {
             let a = random_vec(&mut rng, m * k);
             let b = random_vec(&mut rng, n * k);
             let mut out = vec![0.0f32; m * n];
-            gemm_nt(&a, &b, k, &mut out);
-            for i in 0..m {
-                for j in 0..n {
-                    let expect = dot_fast(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                    assert_eq!(
-                        out[i * n + j].to_bits(),
-                        expect.to_bits(),
-                        "({m},{n},{k}) element ({i},{j}): {} vs {expect}",
-                        out[i * n + j]
-                    );
+            for &(tier, gemm, dot) in &tiers {
+                out.fill(f32::NAN);
+                gemm(&a, &b, k, &mut out);
+                for i in 0..m {
+                    for j in 0..n {
+                        let expect = dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                        assert_eq!(
+                            out[i * n + j].to_bits(),
+                            expect.to_bits(),
+                            "{tier} ({m},{n},{k}) element ({i},{j}): {} vs {expect}",
+                            out[i * n + j]
+                        );
+                    }
                 }
             }
         }
@@ -1296,10 +1607,12 @@ mod tests {
 
     #[test]
     fn dispatch_is_stable() {
-        let first = avx2_fma_enabled();
+        let first = (avx2_fma_enabled(), crate::avx512_vnni_enabled());
         for _ in 0..10 {
-            assert_eq!(avx2_fma_enabled(), first);
+            assert_eq!((avx2_fma_enabled(), crate::avx512_vnni_enabled()), first);
         }
+        // The tiers nest: the AVX-512 tier also runs every AVX2 body.
+        assert!(!first.1 || first.0, "AVX-512 tier without AVX2+FMA");
     }
 
     mod properties {
@@ -1329,18 +1642,26 @@ mod tests {
             }
 
             /// The unrolled dot is invariant to being computed via gemm
-            /// with any m (the blocked path never changes per-pair bits).
+            /// with any m and n (neither blocking nor the register tile
+            /// changes per-pair bits).
             #[test]
             fn single_row_gemm_is_dot(
+                m in 1usize..8,
+                n in 1usize..40,
                 k in 1usize..100,
                 seed in 0u64..1000
             ) {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let a = random_vec(&mut rng, k);
-                let b = random_vec(&mut rng, k);
-                let mut out = [0.0f32];
+                let a = random_vec(&mut rng, m * k);
+                let b = random_vec(&mut rng, n * k);
+                let mut out = vec![0.0f32; m * n];
                 gemm_nt(&a, &b, k, &mut out);
-                prop_assert_eq!(out[0].to_bits(), dot_fast(&a, &b).to_bits());
+                for i in 0..m {
+                    for j in 0..n {
+                        let expect = dot_fast(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                        prop_assert_eq!(out[i * n + j].to_bits(), expect.to_bits());
+                    }
+                }
             }
         }
     }

@@ -10,8 +10,10 @@
 //! * [`vecops`] — dot products, trilinear products, AXPY, Hadamard products,
 //!   norms, and in-place normalization over `&[f32]` slices.
 //! * [`kernels`] — unrolled multi-accumulator variants of the hot vecops
-//!   plus the cache-blocked [`kernels::gemm_nt`] used by the evaluation
-//!   ranking pipeline.
+//!   plus the cache-blocked, register-tiled [`kernels::gemm_nt`] used by
+//!   the evaluation ranking pipeline.
+//! * [`dispatch`] — the SIMD tier (portable, AVX2+FMA, AVX-512), probed
+//!   once per process; every kernel with a SIMD body dispatches on it.
 //! * [`block`] — block-term (Tucker) contraction kernels for the MEI
 //!   K×Ce×Cr family, walk-order replicas of the generic ω term walk.
 //! * [`reg`] — counter-based dropout masks and f64 batch-norm moment
@@ -49,6 +51,7 @@
 
 pub mod activations;
 pub mod block;
+pub mod dispatch;
 pub mod init;
 pub mod kernels;
 pub mod matrix;

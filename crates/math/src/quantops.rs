@@ -21,30 +21,15 @@
 //! intermediate can saturate: `|a|,|b| ≤ 127 ⇒ |a·b| ≤ 16129`, and a pair
 //! sum `≤ 32258` fits i32 with room for any practical inner dimension).
 
+use crate::dispatch::{level, Level};
 use crate::kernels::avx2_fma_enabled;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Dispatch cache for the packed screen GEMM: 0 = undetected,
-/// 1 = portable, 2 = AVX-512 VNNI.
-static VNNI_LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the AVX-512 VNNI packed-GEMM fast path is active (detected once
-/// per process). Needs `avx512f` for the 512-bit integer plumbing and
-/// `avx512vnni` for `vpdpbusd`.
+/// Whether the AVX-512 VNNI packed-GEMM fast path is active: the
+/// [`Level::Avx512`] tier, detected once per process. It needs `avx512f`
+/// for the 512-bit integer plumbing and `avx512vnni` for `vpdpbusd`.
 #[inline]
 pub fn avx512_vnni_enabled() -> bool {
-    match VNNI_LEVEL.load(Ordering::Relaxed) {
-        0 => {
-            #[cfg(target_arch = "x86_64")]
-            let has = std::is_x86_feature_detected!("avx512f")
-                && std::is_x86_feature_detected!("avx512vnni");
-            #[cfg(not(target_arch = "x86_64"))]
-            let has = false;
-            VNNI_LEVEL.store(if has { 2 } else { 1 }, Ordering::Relaxed);
-            has
-        }
-        level => level == 2,
-    }
+    level() == Level::Avx512
 }
 
 /// Exact i32 dot product of two i8 rows: `Σ_d a[d]·b[d]`.

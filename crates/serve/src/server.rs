@@ -456,6 +456,11 @@ impl<A: Acceptor> EventLoop<A> {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
+        // Nagle off: with it on, a response written while an earlier one
+        // is unacknowledged waits for the client's delayed ACK (tens of
+        // ms) in a pipelined burst. A socket that refuses the option is
+        // still served, only with that delay.
+        let _ = stream.set_nodelay(true);
         let id = self.next_conn_id;
         self.next_conn_id += 1;
         let interest = EPOLLIN | EPOLLRDHUP;

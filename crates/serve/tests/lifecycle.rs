@@ -162,6 +162,53 @@ fn accept_errors_back_off_are_counted_and_do_not_spin() {
     server.shutdown();
 }
 
+/// An acceptor that keeps a clone of every accepted stream, so a test can
+/// read back the socket options the event loop set on it.
+struct RecordingAcceptor {
+    listener: TcpListener,
+    accepted: Arc<std::sync::Mutex<Vec<TcpStream>>>,
+}
+
+impl Acceptor for RecordingAcceptor {
+    fn accept(&self) -> io::Result<TcpStream> {
+        let (stream, _) = self.listener.accept()?;
+        self.accepted.lock().expect("recording lock poisoned").push(stream.try_clone()?);
+        Ok(stream)
+    }
+
+    fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.listener.local_addr()
+    }
+
+    fn raw_fd(&self) -> std::os::unix::io::RawFd {
+        use std::os::unix::io::AsRawFd;
+        self.listener.as_raw_fd()
+    }
+}
+
+#[test]
+fn accepted_sockets_have_nagle_off() {
+    // With Nagle on, a pipelined response written while an earlier one is
+    // unacknowledged waits for the client's delayed ACK.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let accepted = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let acceptor = RecordingAcceptor { listener, accepted: Arc::clone(&accepted) };
+    let engine = engine(ServeConfig::default());
+    let mut server =
+        Server::start_with_acceptor(Arc::clone(&engine), acceptor, ServerConfig::default())
+            .unwrap();
+    let mut c = TcpStream::connect(server.local_addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    send_line(&mut c, r#"{"op":"ping"}"#);
+    assert_eq!(read_response(&c).get("ok"), Some(&JsonValue::Bool(true)));
+    let streams = accepted.lock().unwrap();
+    assert_eq!(streams.len(), 1);
+    assert!(streams[0].nodelay().unwrap(), "accepted socket still has Nagle on");
+    drop(streams);
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_racing_a_connection_storm_never_hangs_or_panics() {
     // The old server raced `shutdown` against the accept thread over the
