@@ -1,12 +1,8 @@
-//! Microbenchmarks of the per-triple score kernels.
-//!
-//! Compares the trilinear-product family (all O(n·D) per triple with small
-//! constants) against the ER-MLP baseline — quantifying §2.2's efficiency
-//! claims: trilinear models are "simple, efficient", neural-network models
-//! "expensive to use".
+//! Microbenchmarks of the per-triple score kernels of the trilinear-product
+//! family: all O(n·D) per triple with small constants (§2.2's "simple,
+//! efficient").
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mei_core::baselines::{ErMlp, ErMlpConfig, TransE, TransEConfig};
 use mei_core::{MultiEmbedModel, WeightPreset};
 use mei_kg::Triple;
 use rand::rngs::StdRng;
@@ -36,44 +32,6 @@ fn bench_scoring(c: &mut Criterion) {
                 let mut acc = 0.0f32;
                 for t in &triples {
                     acc += model.score_triple(black_box(*t));
-                }
-                acc
-            })
-        });
-    }
-
-    {
-        let mut rng = StdRng::seed_from_u64(1);
-        let transe = TransE::new(
-            NUM_ENTITIES,
-            NUM_RELATIONS,
-            TransEConfig { dim: BUDGET, ..TransEConfig::default() },
-            &mut rng,
-        );
-        group.bench_function("TransE", |b| {
-            b.iter(|| {
-                let mut acc = 0.0f32;
-                for t in &triples {
-                    acc += transe.score_triple(black_box(*t));
-                }
-                acc
-            })
-        });
-    }
-
-    {
-        let mut rng = StdRng::seed_from_u64(1);
-        let ermlp = ErMlp::new(
-            NUM_ENTITIES,
-            NUM_RELATIONS,
-            ErMlpConfig { dim: BUDGET / 3, hidden: 64, ..ErMlpConfig::default() },
-            &mut rng,
-        );
-        group.bench_function("ER-MLP", |b| {
-            b.iter(|| {
-                let mut acc = 0.0f32;
-                for t in &triples {
-                    acc += ermlp.score_triple(black_box(*t));
                 }
                 acc
             })

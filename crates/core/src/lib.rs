@@ -27,14 +27,10 @@
 //!   Tucker-style partitions realized as a support-restricted ω over the
 //!   generic grid, so every downstream consumer (eval, k-vs-all training,
 //!   serving, int8 screening) works unchanged
-//!   ([`model::MultiEmbedModel::block_term`], [`model::BlockTermShape`]);
-//! * **native cross-check implementations** and the §2.2 baselines — plain
-//!   DistMult/ComplEx/CP scoring straight from the algebra, TransE
-//!   (translation-based) and ER-MLP (neural-network-based) ([`baselines`]).
+//!   ([`model::MultiEmbedModel::block_term`], [`model::BlockTermShape`]).
 
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod checkpoint;
 pub mod embedding;
 mod fused;

@@ -8,7 +8,8 @@
 //! permutation, histories) with FNV-1a, and compares the hash with the
 //! one recorded when the case was added.
 //!
-//! The recorded hashes come from the AVX2+FMA kernels, and they are
+//! The recorded hashes come from the AVX2+FMA kernels (case (f)'s was
+//! taken on the AVX-512 tier, whose bits must equal them), and they are
 //! asserted at both SIMD tiers: wherever
 //! [`mei_math::kernels::avx2_fma_enabled`] holds, which covers the
 //! AVX-512 tier too, whose `gemm_nt` tiles must reproduce the AVX2 bits.
@@ -105,7 +106,7 @@ fn kvsall_run() -> TrainConfig {
     }
 }
 
-const CASES: [Case; 5] = [
+const CASES: [Case; 6] = [
     // (a) The paper's protocol (§5): ComplEx, one uniform negative,
     // logistic loss, Adam, unit-norm projection, on 2 workers.
     Case {
@@ -165,15 +166,28 @@ const CASES: [Case; 5] = [
         model: complex,
         config: || TrainConfig { batch_norm: true, threads: 1, ..kvsall_run() },
     },
+    // (f) Plain k-vs-all, ComplEx at D = 21 on 2 workers: n·D = 42 runs
+    // `gemm_nt` through one 32-float stride, one 8-float remainder and a
+    // 2-float scalar tail, where every case above fits in n·D ≤ 16.
+    Case {
+        name: "kvsall_gemm_nt_ragged",
+        dataset: synthwnrr_small,
+        model: |ds| {
+            let mut rng = StdRng::seed_from_u64(29);
+            MultiEmbedModel::from_preset(WeightPreset::ComplEx, ds.num_entities(), ds.num_relations(), 21, &mut rng)
+        },
+        config: || TrainConfig { threads: 2, ..kvsall_run() },
+    },
 ];
 
 /// Hashes recorded for [`CASES`], in the same order.
-const GOLDEN: [u64; 5] = [
+const GOLDEN: [u64; 6] = [
     0x7f33_5362_5b75_c236,
     0xee8f_3f0c_621f_6d62,
     0x74b0_403e_8596_fd46,
     0x4d4e_aa79_6d97_059c,
     0x9e80_c720_d44c_1fb1,
+    0xb066_2b62_60e9_4ea4,
 ];
 
 /// Trains `case` once and hashes everything the run leaves behind.

@@ -62,7 +62,10 @@ pub enum SynthWnScale {
     /// ~2k entities / ~35k triples — the repro harness default; Tables 2–4
     /// retrain on this in minutes.
     Small,
-    /// WN18-shaped: ~40k entities / ~140k triples.
+    /// WN18's entity count, not its triple count: 40,000 entities and 18
+    /// relations, ~377k / 14.2k / 14.2k train/valid/test triples (seed 0:
+    /// 377,401 / 14,203 / 14,203; WN18 has 141,442 / 5,000 / 5,000), and
+    /// a test inverse leakage of 0.73–0.74 (WN18: ≈ 0.94).
     Full,
 }
 

@@ -30,14 +30,12 @@
 
 #![warn(missing_docs)]
 
-pub mod auc;
 pub mod categories;
 pub mod classification;
 pub mod metrics;
 pub mod ranking;
 pub mod scorer;
 
-pub use auc::{average_precision, roc_auc};
 pub use categories::{categorize_relations, mrr_by_category, RelationCategory};
 pub use classification::{labeled_with_negatives, TripleClassifier};
 pub use metrics::{LinkPredictionResults, MetricsAccumulator, Side};

@@ -17,10 +17,7 @@
 //!   Eq. 7): every `(h, t, r)` gains `(t, h, r⁽ᵃ⁾)`;
 //! * [`negative`] — uniform negative sampling by head/tail corruption (§4);
 //! * [`analysis`] — relation property detection (symmetry, inverse pairs)
-//!   used to sanity-check generated benchmarks;
-//! * [`query`] — graph queries (neighborhoods, shortest paths,
-//!   reachability, degree statistics, relation-composition mining) for the
-//!   §1 browsing/analysis use case.
+//!   used to sanity-check generated benchmarks.
 
 #![warn(missing_docs)]
 
@@ -31,9 +28,7 @@ pub mod dedup;
 pub mod dictionary;
 pub mod io;
 pub mod negative;
-pub mod query;
 pub mod store;
-pub mod subgraph;
 pub mod triple;
 
 pub mod ids {

@@ -13,13 +13,6 @@ pub enum Init {
         /// Half-width of the interval.
         bound: f32,
     },
-    /// Xavier/Glorot uniform: `bound = sqrt(6 / (fan_in + fan_out))`.
-    XavierUniform {
-        /// Incoming connections per unit.
-        fan_in: usize,
-        /// Outgoing connections per unit.
-        fan_out: usize,
-    },
     /// The TransE-style initializer: uniform on `[-6/√D, 6/√D]`.
     EmbeddingUniform {
         /// Embedding dimensionality `D`.
@@ -34,12 +27,6 @@ impl Init {
     pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f32]) {
         match *self {
             Init::Uniform { bound } => {
-                for v in out {
-                    *v = rng.gen_range(-bound..=bound);
-                }
-            }
-            Init::XavierUniform { fan_in, fan_out } => {
-                let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
                 for v in out {
                     *v = rng.gen_range(-bound..=bound);
                 }
@@ -80,14 +67,6 @@ mod tests {
         // Not degenerate: spread over the interval.
         assert!(v.iter().any(|x| *x > 0.25));
         assert!(v.iter().any(|x| *x < -0.25));
-    }
-
-    #[test]
-    fn xavier_bound_formula() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let v = Init::XavierUniform { fan_in: 100, fan_out: 200 }.vec(&mut rng, 500);
-        let bound = (6.0f32 / 300.0).sqrt();
-        assert!(v.iter().all(|x| x.abs() <= bound + 1e-7));
     }
 
     #[test]

@@ -24,10 +24,6 @@
 //! * [`activations`] — numerically stable sigmoid / softplus / tanh /
 //!   softmax and their derivatives.
 //! * [`init`] — deterministic, seedable embedding initializers.
-//! * [`matrix`] — a minimal row-major dense matrix used by the ER-MLP
-//!   baseline.
-//! * [`stats`] — streaming mean/variance (Welford) used by the bench
-//!   harness.
 //!
 //! # Example
 //!
@@ -54,11 +50,8 @@ pub mod block;
 pub mod dispatch;
 pub mod init;
 pub mod kernels;
-pub mod matrix;
-pub mod pca;
 pub mod quantops;
 pub mod reg;
-pub mod stats;
 pub mod vecops;
 
 pub use activations::{sigmoid, softmax_in_place, softplus, tanh_vec};
@@ -66,8 +59,5 @@ pub use kernels::{
     adam_update_fast, axpy_fast, dot_fast, gemm_nt, hadamard_axpy_fast, hadamard_write_fast,
     scale_add_l2_fast, scale_write_l2_fast, trilinear_fast, AdamParams,
 };
-pub use matrix::Matrix;
-pub use pca::Pca;
 pub use quantops::{avx512_vnni_enabled, dot_i8, gemm_i8_nt, PackedI8};
-pub use stats::RunningStats;
 pub use vecops::{axpy, dot, hadamard, l2_norm, normalize_l2, trilinear};

@@ -113,33 +113,6 @@ pub fn normalize_l2(x: &mut [f32]) {
     }
 }
 
-/// Lp distance `‖a − b‖_p` for `p ∈ {1, 2}` (Eq. 1; used by TransE).
-///
-/// # Panics
-/// Panics if `p` is not 1 or 2.
-#[inline]
-pub fn lp_distance(a: &[f32], b: &[f32], p: u8) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    match p {
-        1 => {
-            let mut acc = 0.0f64;
-            for (x, y) in a.iter().zip(b) {
-                acc += f64::from((x - y).abs());
-            }
-            acc as f32
-        }
-        2 => {
-            let mut acc = 0.0f64;
-            for (x, y) in a.iter().zip(b) {
-                let d = f64::from(x - y);
-                acc += d * d;
-            }
-            acc.sqrt() as f32
-        }
-        _ => panic!("lp_distance supports only p=1 and p=2, got p={p}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,20 +170,6 @@ mod tests {
         let mut x = [0.0f32; 4];
         normalize_l2(&mut x);
         assert_eq!(x, [0.0; 4]);
-    }
-
-    #[test]
-    fn lp_distances() {
-        let a = [1.0f32, 2.0];
-        let b = [4.0f32, 6.0];
-        assert_eq!(lp_distance(&a, &b, 1), 7.0);
-        assert_eq!(lp_distance(&a, &b, 2), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lp_distance supports only")]
-    fn lp_distance_rejects_other_p() {
-        lp_distance(&[0.0], &[0.0], 3);
     }
 
     #[test]

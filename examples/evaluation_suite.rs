@@ -1,15 +1,11 @@
 //! The full evaluation toolbox on one trained model: filtered vs raw
-//! ranking, per-category breakdown (1-1 / 1-N / N-1 / N-N), NTN-style
-//! triple classification with tuned thresholds, and threshold-free
-//! ROC-AUC / average precision.
+//! ranking, per-category breakdown (1-1 / 1-N / N-1 / N-N), and NTN-style
+//! triple classification with tuned thresholds.
 //!
 //! Run with: `cargo run --release --example evaluation_suite`
 
 use mei::eval::ranking::evaluate;
-use mei::eval::{
-    average_precision, categorize_relations, labeled_with_negatives, mrr_by_category, roc_auc,
-    TripleClassifier, TripleScorer,
-};
+use mei::eval::{categorize_relations, labeled_with_negatives, mrr_by_category, TripleClassifier};
 use mei::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,11 +69,4 @@ fn main() {
     let test_set = labeled_with_negatives(&mut rng, &dataset.test, dataset.num_entities(), &filter);
     let clf = TripleClassifier::fit(&model, &fit_set);
     println!("\ntriple classification accuracy: {:.3}", clf.accuracy(&model, &test_set));
-
-    // 4. Threshold-free: ROC-AUC and average precision over test scores.
-    let scored: Vec<(f32, bool)> = test_set
-        .iter()
-        .map(|(t, y)| (model.score(t.head, t.tail, t.relation), *y))
-        .collect();
-    println!("ROC-AUC: {:.3}   average precision: {:.3}", roc_auc(&scored), average_precision(&scored));
 }

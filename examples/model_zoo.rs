@@ -1,6 +1,5 @@
 //! A miniature Table 2: train every derived weight preset on one dataset
-//! and compare filtered test metrics side by side — including the TransE
-//! and ER-MLP baselines from the paper's taxonomy (§2.2) for context.
+//! and compare filtered test metrics side by side.
 //!
 //! Run with: `cargo run --release --example model_zoo`
 //! (The full-scale reproduction with the paper's protocol lives in the
@@ -55,56 +54,6 @@ fn main() {
         Trainer::new(train_cfg.clone()).train(&mut model, &dataset, &filter);
         let results = evaluate_filtered(&model, &dataset.test, &filter, &eval_cfg);
         print_row(preset.name(), &results);
-    }
-
-    // Baselines from the other two categories.
-    {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut transe = TransE::new(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            TransEConfig { dim: 64, epochs: 200, ..TransEConfig::default() },
-            &mut rng,
-        );
-        transe.train(&dataset);
-        let results = evaluate_filtered(&transe, &dataset.test, &filter, &eval_cfg);
-        print_row("TransE (translation-based)", &results);
-    }
-    {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut transh = TransH::new(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            TransHConfig { dim: 64, epochs: 200, ..TransHConfig::default() },
-            &mut rng,
-        );
-        transh.train(&dataset);
-        let results = evaluate_filtered(&transh, &dataset.test, &filter, &eval_cfg);
-        print_row("TransH (translation-based)", &results);
-    }
-    {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut rescal = Rescal::new(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            RescalConfig { dim: 24, epochs: 80, ..RescalConfig::default() },
-            &mut rng,
-        );
-        rescal.train(&dataset);
-        let results = evaluate_filtered(&rescal, &dataset.test, &filter, &eval_cfg);
-        print_row("RESCAL (bilinear)", &results);
-    }
-    {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut ermlp = ErMlp::new(
-            dataset.num_entities(),
-            dataset.num_relations(),
-            ErMlpConfig { dim: 24, hidden: 48, epochs: 60, ..ErMlpConfig::default() },
-            &mut rng,
-        );
-        ermlp.train(&dataset);
-        let results = evaluate_filtered(&ermlp, &dataset.test, &filter, &eval_cfg);
-        print_row("ER-MLP (neural-network-based)", &results);
     }
 }
 

@@ -119,35 +119,4 @@ fn main() {
             random_n
         );
     }
-
-    // 2-D PCA projection of the concatenated embeddings — §3.2's
-    // "visualization" use case; print a coarse ASCII scatter of the first
-    // 40 entities.
-    let rows: Vec<Vec<f32>> =
-        (0..dataset.num_entities()).map(|e| model.entities.concatenated(e)).collect();
-    let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-    let pca = mei::math::Pca::fit(&row_refs, 2, 40, 7);
-    println!(
-        "\nPCA of concatenated embeddings: explained variance {:.4} / {:.4}",
-        pca.explained_variance[0], pca.explained_variance[1]
-    );
-    const W: usize = 64;
-    const H: usize = 16;
-    let mut grid = vec![vec![b' '; W]; H];
-    let projected: Vec<Vec<f32>> = row_refs.iter().take(40).map(|r| pca.transform(r)).collect();
-    let (mut min_x, mut max_x, mut min_y, mut max_y) = (f32::MAX, f32::MIN, f32::MAX, f32::MIN);
-    for p in &projected {
-        min_x = min_x.min(p[0]);
-        max_x = max_x.max(p[0]);
-        min_y = min_y.min(p[1]);
-        max_y = max_y.max(p[1]);
-    }
-    for (i, p) in projected.iter().enumerate() {
-        let x = ((p[0] - min_x) / (max_x - min_x + 1e-9) * (W as f32 - 1.0)) as usize;
-        let y = ((p[1] - min_y) / (max_y - min_y + 1e-9) * (H as f32 - 1.0)) as usize;
-        grid[y][x] = b'a' + (i % 26) as u8;
-    }
-    for row in grid {
-        println!("  {}", String::from_utf8_lossy(&row));
-    }
 }

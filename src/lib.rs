@@ -53,7 +53,7 @@
 //!
 //! | Module | Backing crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `mei-core` | the unified model, weight presets, trainer, baselines |
+//! | [`core`] | `mei-core` | the unified model, weight presets, trainer |
 //! | [`kg`] | `mei-kg` | triples, stores, datasets, TSV I/O, augmentation, sampling |
 //! | [`eval`] | `mei-eval` | filtered/raw ranking, MRR/Hit@k |
 //! | [`datagen`] | `mei-datagen` | SynthWN, recommender KG, random graphs |
@@ -77,7 +77,6 @@ pub use mei_serve as serve;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
-    pub use mei_core::baselines::{ErMlp, ErMlpConfig, Rescal, RescalConfig, TransE, TransEConfig, TransH, TransHConfig};
     pub use mei_core::regularizer::DirichletRegularizer;
     pub use mei_core::{
         EmbeddingTable, LossKind, ModelConfig, MultiEmbedModel, SamplingStrategy, TrainConfig,

@@ -72,11 +72,11 @@ fn assert_results_bitwise_equal(
 }
 
 /// The headline acceptance check: on a synthetic WN-style dataset, the
-/// blocked pipeline's raw AND filtered metrics — plus every piece of
-/// telemetry except wall time — are bitwise identical to the per-query
-/// oracle, under every tie policy. At dim 200 (n·D = 400) the entity
-/// table outgrows one `gemm_nt` cache block, so scores cross a block
-/// boundary.
+/// blocked scores, the blocked pipeline's raw AND filtered metrics, and
+/// every piece of telemetry except wall time are bitwise identical to the
+/// per-query oracle, under every tie policy. At dim 200 (n·D = 400) the
+/// entity table outgrows one `gemm_nt` cache block, so scores cross a
+/// block boundary.
 #[test]
 fn blocked_metrics_are_bitwise_identical_to_per_query_path() {
     let ds = SynthWnConfig::at_scale(SynthWnScale::Tiny, 9).generate();
@@ -93,6 +93,33 @@ fn blocked_metrics_are_bitwise_identical_to_per_query_path() {
         // gemm_nt streams the entity table in 256 KB blocks.
         let blocks = (4 * model.entities.len()).div_ceil(256 * 1024);
         assert_eq!(blocks, if dim == 200 { 2 } else { 1 });
+        // The scores themselves, not only the metrics: a last-bit change
+        // in one score rarely moves a rank. Both sides' queries of every
+        // test triple, in the evaluator's blocks of 32 queries.
+        let queries: Vec<BlockQuery> = ds
+            .test
+            .iter()
+            .flat_map(|t| {
+                [BlockQuery::tails(t.head, t.relation), BlockQuery::heads(t.tail, t.relation)]
+            })
+            .collect();
+        let ne = model.num_entities();
+        let (mut blocked, mut per_query) = (Vec::new(), Vec::new());
+        for block in queries.chunks(32) {
+            blocked.resize(block.len() * ne, 0.0f32);
+            per_query.resize(block.len() * ne, 0.0f32);
+            model.score_block(block, &mut blocked);
+            PerQuery(&model).score_block(block, &mut per_query);
+            for (i, (b, q)) in blocked.iter().zip(&per_query).enumerate() {
+                assert_eq!(
+                    b.to_bits(),
+                    q.to_bits(),
+                    "dim {dim}, {:?}, entity {}: blocked {b} vs per-query {q}",
+                    block[i / ne],
+                    i % ne
+                );
+            }
+        }
         for policy in [TiePolicy::Optimistic, TiePolicy::Average, TiePolicy::Pessimistic] {
             let config = EvalConfig { hits_at: vec![1, 3, 10], tie_policy: policy };
             let (raw_b, filt_b, stats_b) = evaluate_with_stats(&model, &ds.test, &filter, &config);

@@ -1,12 +1,11 @@
-//! Integration tests for the extension surface: leakage removal, dataset
-//! surgery, grid search, margin loss, Bernoulli sampling and the octonion
-//! model — exercised together through the public facade, the way a
-//! downstream experiment would compose them.
+//! Integration tests for the extension surface: leakage removal, grid
+//! search, margin loss, Bernoulli sampling and the octonion model —
+//! exercised together through the public facade, the way a downstream
+//! experiment would compose them.
 
 use mei::core::tuning::{grid_search, Grid};
 use mei::eval::ranking::evaluate_filtered;
 use mei::kg::dedup::{remove_leaky_relations, DedupConfig};
-use mei::kg::subgraph::{k_core, subsample_train};
 use mei::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,33 +61,6 @@ fn training_on_hard_variant_caps_complex_at_the_new_ceiling() {
         res.mrr,
         ceiling
     );
-}
-
-#[test]
-fn subgraph_surgery_composes_with_training() {
-    let ds = SynthWnConfig::at_scale(SynthWnScale::Tiny, 9).generate();
-    // Densify to the 4-core (the 3-core of this seed's graph keeps every
-    // entity, so 4 is the smallest k that strictly prunes), then
-    // subsample train to 80%.
-    let core = k_core(&ds, 4);
-    assert!(core.num_entities() > 0 && core.num_entities() < ds.num_entities());
-    core.validate().unwrap();
-    let mut rng = StdRng::seed_from_u64(2);
-    let smaller = subsample_train(&core, 0.8, &mut rng);
-    assert!(smaller.train.len() < core.train.len());
-    // The surgered dataset still trains without issue.
-    let filter = smaller.filter_store();
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut model = MultiEmbedModel::from_preset(
-        WeightPreset::Cph,
-        smaller.num_entities(),
-        smaller.num_relations(),
-        8,
-        &mut rng,
-    );
-    let cfg = TrainConfig { max_epochs: 20, batch_size: 256, ..TrainConfig::default() };
-    let report = Trainer::new(cfg).train(&mut model, &smaller, &filter);
-    assert!(report.epochs_run == 20);
 }
 
 #[test]
