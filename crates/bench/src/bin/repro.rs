@@ -14,6 +14,9 @@
 //! repro bench-train [opts]      # training-throughput benchmark (negative sampling, plus
 //!                               # the k-vs-all full-softmax and regularized block-term
 //!                               # MEI sections)
+//! repro bench-kernels [opts]    # kernel rates at the workload shapes against the FMA and
+//!                               # stream peaks, and the §2.2.3 scaling sweeps (takes
+//!                               # only --seed and --out)
 //!
 //! options:
 //!   --scale tiny|small|full     SynthWN scale (default small)
@@ -33,8 +36,8 @@
 //!                               connections against one event loop (default 1000 in the
 //!                               full bench; with --smoke runs the lifecycle assertions
 //!                               timing-free)
-//!   --out <path>                bench-eval/bench-serve/bench-train: write the JSON report
-//!                               here (e.g. BENCH_eval.json / BENCH_serve.json / BENCH_train.json)
+//!   --out <path>                bench-*: write the JSON report here (e.g. BENCH_eval.json /
+//!                               BENCH_serve.json / BENCH_train.json / BENCH_kernels.json)
 //!   --overload                  bench-serve: also saturate a deliberately tiny
 //!                               bounded queue and record rejected-vs-served
 //!                               throughput (the backpressure contract)
@@ -185,7 +188,7 @@ fn parse_args() -> Options {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro <table1|table2|table3|table4|all|train <preset>|ablate|grid|bench-eval|bench-serve|bench-train> \
+        "usage: repro <table1|table2|table3|table4|all|train <preset>|ablate|grid|bench-eval|bench-serve|bench-train|bench-kernels> \
          [--scale tiny|small|full] [--dataset DIR] [--order hrt|htr] \
          [--seed N] [--epochs N] [--budget N] [--metrics-out run.jsonl] \
          [--limit N] [--out BENCH_eval.json] [--overload] \
@@ -483,6 +486,22 @@ fn print_fingerprint() {
     );
 }
 
+/// Writes a `repro bench-*` report to `--out`, or prints it when no path
+/// is given.
+fn write_report(report: &mei_obs::JsonValue, opts: &Options) {
+    let json = report.to_json();
+    match &opts.out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, json + "\n") {
+                eprintln!("cannot write --out {path}: {e}");
+                std::process::exit(1);
+            }
+            println!("  wrote {path}");
+        }
+        None => println!("{json}"),
+    }
+}
+
 /// `repro bench-eval`: times the blocked GEMM ranking pipeline over the
 /// test split without training, and optionally writes the
 /// machine-readable report (BENCH_eval.json).
@@ -503,16 +522,7 @@ fn bench_eval(ds: &Dataset, proto: &Protocol, opts: &Options) {
         .and_then(|v| v.as_f64())
         .unwrap_or(0.0);
     println!("  blocked_gemm {qps:>10.1} queries/sec");
-    let json = report.to_json();
-    if let Some(path) = &opts.out {
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("cannot write --out {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("  wrote {path}");
-    } else {
-        println!("{json}");
-    }
+    write_report(&report, opts);
     println!("\n[bench-eval took {:.1?}]", t0.elapsed());
 }
 
@@ -682,16 +692,7 @@ fn bench_serve(ds: &Dataset, proto: &Protocol, opts: &Options) {
         pairs.push(("conn_scaling".to_owned(), mei_obs::JsonValue::Arr(conn)));
         pairs.push(("swap_latency".to_owned(), swap));
     }
-    let json = report.to_json();
-    if let Some(path) = &opts.out {
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("cannot write --out {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("  wrote {path}");
-    } else {
-        println!("{json}");
-    }
+    write_report(&report, opts);
     println!("\n[bench-serve took {:.1?}]", t0.elapsed());
 }
 
@@ -809,17 +810,45 @@ fn bench_train(ds: &Dataset, proto: &Protocol, opts: &Options) {
         );
         println!("    thread parity (params + batch-norm state): yes");
     }
-    let json = report.to_json();
-    if let Some(path) = &opts.out {
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("cannot write --out {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("  wrote {path}");
-    } else {
-        println!("{json}");
-    }
+    write_report(&report, opts);
     println!("\n[bench-train took {:.1?}]", t0.elapsed());
+}
+
+/// `repro bench-kernels`: times each kernel at the shape a workload issues
+/// it, the two machine peaks and the §2.2.3 scaling sweeps, and writes
+/// BENCH_kernels.json. Needs no dataset.
+fn bench_kernels(opts: &Options) {
+    let t0 = Instant::now();
+    print_fingerprint();
+    let report =
+        mei_bench::kernels::bench_kernels(&mei_bench::kernels::KernelShapes::workload(), opts.seed);
+    let num =
+        |v: &mei_obs::JsonValue, name: &str| v.get(name).and_then(|x| x.as_f64()).unwrap_or(0.0);
+    let text = |v: &mei_obs::JsonValue, name: &str| {
+        v.get(name).and_then(|x| x.as_str()).unwrap_or("?").to_owned()
+    };
+    if let Some(peaks) = report.get("peaks") {
+        let peak = |name: &str| peaks.get(name).map_or(0.0, |q| num(q, "median"));
+        println!(
+            "  {} peaks: FMA {:.1} GF/s, stream {:.1} GB/s",
+            text(&report, "simd_level"),
+            peak("fma_gflops"),
+            peak("stream_gbps")
+        );
+    }
+    for row in report.get("kernels").and_then(|v| v.as_arr()).unwrap_or(&[]) {
+        println!(
+            "  {:<12} {:>3} x {:>6} x {:>3}  {:>7.1} {}",
+            text(row, "kernel"),
+            num(row, "m"),
+            num(row, "n"),
+            num(row, "k"),
+            num(row, "median"),
+            text(row, "unit"),
+        );
+    }
+    write_report(&report, opts);
+    println!("\n[bench-kernels took {:.1?}]", t0.elapsed());
 }
 
 /// `repro train <preset-name>`: trains a single preset verbosely — a
@@ -841,6 +870,10 @@ fn main() {
     let opts = parse_args();
     if opts.command == "table1" {
         table1();
+        return;
+    }
+    if opts.command == "bench-kernels" {
+        bench_kernels(&opts);
         return;
     }
 

@@ -1,4 +1,5 @@
-//! Shared harness code for the `repro` binary and the Criterion benches.
+//! Shared harness code for the `repro` binary: the paper's tables and the
+//! measurements behind the checked-in `BENCH_*.json` files.
 //!
 //! The functions here encapsulate the paper's experimental protocol (§5):
 //! build a model for a table row, train it with the Eq. 16 stack, and
@@ -22,6 +23,8 @@
 //! ```
 
 #![warn(missing_docs)]
+
+pub mod kernels;
 
 use std::fmt;
 use std::sync::Arc;
@@ -592,6 +595,39 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// The thread-scaling sweep every training arm shares: reruns the arm at
+/// each worker count in `sweep` (count 1 reuses `base`, the 1-thread
+/// run), asserts that its final parameters and norm state are
+/// bit-identical to `base`'s — the deterministic parallel-schedule
+/// contract (DESIGN.md §11) — and emits one row per count. `rates` gives
+/// the arm's rate fields, which sit between `wall_secs` and `phase_secs`.
+fn thread_sweep(
+    what: &str,
+    sweep: &[usize],
+    base: &TrainArm,
+    run: impl Fn(usize) -> TrainArm,
+    rates: impl Fn(&TrainArm) -> Vec<(&'static str, JsonValue)>,
+) -> JsonValue {
+    let rows = sweep.iter().map(|&t| {
+        let rerun = (t != 1).then(|| run(t));
+        let arm = rerun.as_ref().unwrap_or(base);
+        let parity = bits_equal(&arm.entities, &base.entities)
+            && bits_equal(&arm.relations, &base.relations)
+            && bits_equal(&arm.omega, &base.omega)
+            && bits_equal(&arm.norm, &base.norm);
+        assert!(
+            parity,
+            "{what} {t}-thread run diverged from the 1-thread run (params or norm state)"
+        );
+        let mut row = vec![("threads", json::int(t)), ("wall_secs", json::num(arm.wall_secs))];
+        row.extend(rates(arm));
+        row.push(("phase_secs", arm.phase_secs()));
+        row.push(("final_params_bitwise_identical_to_1_thread", JsonValue::Bool(parity)));
+        json::obj(row)
+    });
+    JsonValue::Arr(rows.collect())
+}
+
 /// Measures negative-sampling training throughput on `dataset` over
 /// `epochs` full epochs (`dot_gather` forward + flat slot-indexed
 /// gradient slabs with a parallel deterministic merge, then the fused
@@ -638,30 +674,13 @@ pub fn bench_train_throughput(
     let blocked = run_train_arm(&bench_ds, &train, dim, seed, 1);
     let negatives = train.negatives_per_positive;
 
-    // Thread-scaling sweep: rerun the arm at each worker count and hold
-    // it to the bit-identity contract against the 1-thread run.
-    let thread_scaling: Vec<JsonValue> = sweep
-        .iter()
-        .map(|&t| {
-            let arm = if t == 1 {
-                None // the 1-thread baseline was already run above
-            } else {
-                Some(run_train_arm(&bench_ds, &train, dim, seed, t))
-            };
-            let arm = arm.as_ref().unwrap_or(&blocked);
-            let parity = bits_equal(&arm.entities, &blocked.entities)
-                && bits_equal(&arm.relations, &blocked.relations)
-                && bits_equal(&arm.omega, &blocked.omega);
-            assert!(parity, "{t}-thread run diverged from the 1-thread run");
-            json::obj([
-                ("threads", json::int(t)),
-                ("wall_secs", json::num(arm.wall_secs)),
-                ("triples_per_sec_epoch", json::num(arm.epoch_triples_per_sec(negatives))),
-                ("phase_secs", arm.phase_secs()),
-                ("final_params_bitwise_identical_to_1_thread", JsonValue::Bool(parity)),
-            ])
-        })
-        .collect();
+    let thread_scaling = thread_sweep(
+        "negative-sampling",
+        sweep,
+        &blocked,
+        |t| run_train_arm(&bench_ds, &train, dim, seed, t),
+        |arm| vec![("triples_per_sec_epoch", json::num(arm.epoch_triples_per_sec(negatives)))],
+    );
 
     // The k-vs-all section: the same artifact also reports the
     // full-softmax trainer at the GEMM shape. Two epochs keep the
@@ -682,7 +701,7 @@ pub fn bench_train_throughput(
         ("negatives_per_positive", json::int(negatives)),
         ("seed", json::int(seed as usize)),
         ("blocked_flat", blocked.report(negatives)),
-        ("thread_scaling", JsonValue::Arr(thread_scaling)),
+        ("thread_scaling", thread_scaling),
         ("kvsall", kvsall),
         ("block_term", block_term),
         ("binary", binary_fingerprint()),
@@ -744,6 +763,15 @@ impl KvRates {
     fn grad_per_sec(&self) -> f64 {
         let total = self.forward_secs + self.backward_secs + self.merge_secs;
         self.candidate_scores / total.max(f64::MIN_POSITIVE)
+    }
+
+    /// The rate fields of one k-vs-all thread-scaling row.
+    fn sweep_fields(arm: &TrainArm, num_entities: usize) -> Vec<(&'static str, JsonValue)> {
+        let r = KvRates::of(arm, num_entities);
+        vec![
+            ("forward_candidate_scores_per_sec", json::num(r.forward_per_sec())),
+            ("backward_candidate_scores_per_sec", json::num(r.backward_per_sec())),
+        ]
     }
 }
 
@@ -888,30 +916,13 @@ pub fn bench_kvsall_throughput(
 
     // Cross-thread parity: every worker count must land bit-identical to
     // the 1-thread arm (DESIGN.md §12's determinism contract).
-    let thread_scaling: Vec<JsonValue> = sweep
-        .iter()
-        .map(|&t| {
-            let arm = if t == 1 {
-                None // the 1-thread baseline was already run above
-            } else {
-                Some(run_train_arm(&bench_ds, &train, dim, seed, t))
-            };
-            let arm = arm.as_ref().unwrap_or(&base);
-            let parity = bits_equal(&arm.entities, &base.entities)
-                && bits_equal(&arm.relations, &base.relations)
-                && bits_equal(&arm.omega, &base.omega);
-            assert!(parity, "kvsall {t}-thread run diverged from the 1-thread run");
-            let r = KvRates::of(arm, ne);
-            json::obj([
-                ("threads", json::int(t)),
-                ("wall_secs", json::num(arm.wall_secs)),
-                ("forward_candidate_scores_per_sec", json::num(r.forward_per_sec())),
-                ("backward_candidate_scores_per_sec", json::num(r.backward_per_sec())),
-                ("phase_secs", arm.phase_secs()),
-                ("final_params_bitwise_identical_to_1_thread", JsonValue::Bool(parity)),
-            ])
-        })
-        .collect();
+    let thread_scaling = thread_sweep(
+        "kvsall",
+        sweep,
+        &base,
+        |t| run_train_arm(&bench_ds, &train, dim, seed, t),
+        |arm| KvRates::sweep_fields(arm, ne),
+    );
 
     let resume_ok = kvsall_resume_check(&bench_ds, &train, dim, seed, &base);
 
@@ -934,7 +945,7 @@ pub fn bench_kvsall_throughput(
         ("speedup_vs_negative_scoring", json::num(speedup)),
         ("final_params_bitwise_identical", JsonValue::Bool(true)),
         ("resume_bitwise_identical", JsonValue::Bool(resume_ok)),
-        ("thread_scaling", JsonValue::Arr(thread_scaling)),
+        ("thread_scaling", thread_scaling),
     ])
 }
 
@@ -1014,39 +1025,13 @@ pub fn bench_block_term_throughput(
     assert!(rates.groups > 0, "block-term arm scored no groups");
     assert!(!base.norm.is_empty(), "block-term arm trained without batch-norm state");
 
-    let thread_scaling: Vec<JsonValue> = sweep
-        .iter()
-        .map(|&t| {
-            let arm = if t == 1 {
-                None // the 1-thread baseline was already run above
-            } else {
-                Some(run_model_arm(
-                    &bench_ds,
-                    &train,
-                    block_term_arm_model(&bench_ds, dim, seed),
-                    t,
-                ))
-            };
-            let arm = arm.as_ref().unwrap_or(&base);
-            let parity = bits_equal(&arm.entities, &base.entities)
-                && bits_equal(&arm.relations, &base.relations)
-                && bits_equal(&arm.omega, &base.omega)
-                && bits_equal(&arm.norm, &base.norm);
-            assert!(
-                parity,
-                "block-term {t}-thread run diverged from the 1-thread run (params or norm state)"
-            );
-            let r = KvRates::of(arm, ne);
-            json::obj([
-                ("threads", json::int(t)),
-                ("wall_secs", json::num(arm.wall_secs)),
-                ("forward_candidate_scores_per_sec", json::num(r.forward_per_sec())),
-                ("backward_candidate_scores_per_sec", json::num(r.backward_per_sec())),
-                ("phase_secs", arm.phase_secs()),
-                ("final_params_bitwise_identical_to_1_thread", JsonValue::Bool(parity)),
-            ])
-        })
-        .collect();
+    let thread_scaling = thread_sweep(
+        "block-term",
+        sweep,
+        &base,
+        |t| run_model_arm(&bench_ds, &train, block_term_arm_model(&bench_ds, dim, seed), t),
+        |arm| KvRates::sweep_fields(arm, ne),
+    );
 
     json::obj([
         ("bench", json::str("block_term_throughput")),
@@ -1070,7 +1055,7 @@ pub fn bench_block_term_throughput(
         ("grad_candidate_scores_per_sec", json::num(rates.grad_per_sec())),
         ("final_params_bitwise_identical", JsonValue::Bool(true)),
         ("norm_state_bitwise_identical", JsonValue::Bool(true)),
-        ("thread_scaling", JsonValue::Arr(thread_scaling)),
+        ("thread_scaling", thread_scaling),
     ])
 }
 

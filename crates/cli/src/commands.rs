@@ -1,7 +1,7 @@
 //! Implementations of the `mei` subcommands.
 
 use std::error::Error;
-
+use std::io::Write;
 use std::sync::Arc;
 
 use mei_core::serialize::{load_model, load_model_mapped, save_model};
@@ -79,8 +79,8 @@ pub struct Subcommand {
     pub name: &'static str,
     /// Accepted flags; any other flag is a usage error.
     pub flags: &'static [&'static str],
-    /// Runs the subcommand.
-    pub run: fn(&Args) -> CmdResult,
+    /// Runs the subcommand, writing its report to the given stdout.
+    pub run: fn(&Args, &mut dyn Write) -> CmdResult,
 }
 
 /// Every subcommand, in `USAGE` order.
@@ -153,22 +153,23 @@ fn preset_by_name(name: &str) -> Option<WeightPreset> {
 }
 
 /// `mei help`.
-fn help(_args: &Args) -> CmdResult {
-    println!("{USAGE}");
+fn help(_args: &Args, stdout: &mut dyn Write) -> CmdResult {
+    writeln!(stdout, "{USAGE}")?;
     Ok(())
 }
 
 /// `mei models`.
-fn models(_args: &Args) -> CmdResult {
-    println!("{:<34} {:>3} {:>6}", "preset", "n", "terms");
+fn models(_args: &Args, stdout: &mut dyn Write) -> CmdResult {
+    writeln!(stdout, "{:<34} {:>3} {:>6}", "preset", "n", "terms")?;
     for p in WeightPreset::all() {
-        println!("{:<34} {:>3} {:>6}", p.name(), p.n(), p.weight_vector().terms().len());
+        let terms = p.weight_vector().terms().len();
+        writeln!(stdout, "{:<34} {:>3} {:>6}", p.name(), p.n(), terms)?;
     }
     Ok(())
 }
 
 /// `mei generate`.
-fn generate(args: &Args) -> CmdResult {
+fn generate(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     use mei_datagen::{RecsysConfig, SynthWnConfig, SynthWnScale};
     let out = args.require("out")?;
     let seed: u64 = args.get_parsed("seed", 0)?;
@@ -196,47 +197,50 @@ fn generate(args: &Args) -> CmdResult {
         other => return Err(format!("unknown --kind {other:?}").into()),
     };
     save_benchmark_dir(&dataset, out, ColumnOrder::HeadRelTail)?;
-    println!("wrote {} to {out}", dataset.stats());
+    writeln!(stdout, "wrote {} to {out}", dataset.stats())?;
     Ok(())
 }
 
 /// `mei stats`.
-fn stats(args: &Args) -> CmdResult {
+fn stats(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let ds = load_dataset(args)?;
-    println!("{}", ds.stats());
-    println!("test-train inverse leakage: {:.3}", ds.test_inverse_leakage());
+    writeln!(stdout, "{}", ds.stats())?;
+    writeln!(stdout, "test-train inverse leakage: {:.3}", ds.test_inverse_leakage())?;
     let all: Vec<Triple> = ds.train.iter().chain(&ds.valid).chain(&ds.test).copied().collect();
-    println!("\nrelation profiles:");
-    println!(
+    writeln!(stdout, "\nrelation profiles:")?;
+    writeln!(
+        stdout,
         "{:<30} {:>8} {:>9} {:>11} {:>11}",
         "relation", "triples", "symmetry", "tails/head", "heads/tail"
-    );
+    )?;
     for p in profile_relations(&all) {
-        println!(
+        writeln!(
+            stdout,
             "{:<30} {:>8} {:>9.2} {:>11.2} {:>11.2}",
             ds.relations.name(p.relation.0).unwrap_or("?"),
             p.count,
             p.symmetry,
             p.tails_per_head,
             p.heads_per_tail
-        );
+        )?;
     }
     let pairs = detect_inverse_pairs(&all, ds.num_relations(), 0.8);
     if !pairs.is_empty() {
-        println!("\ninverse pairs (overlap ≥ 0.8):");
+        writeln!(stdout, "\ninverse pairs (overlap ≥ 0.8):")?;
         for (a, b, overlap) in pairs {
-            println!(
+            writeln!(
+                stdout,
                 "  {} <-> {}  ({overlap:.2})",
                 ds.relations.name(a.0).unwrap_or("?"),
                 ds.relations.name(b.0).unwrap_or("?")
-            );
+            )?;
         }
     }
     Ok(())
 }
 
 /// `mei train`.
-fn train(args: &Args) -> CmdResult {
+fn train(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let ds = load_dataset(args)?;
     let out = args.require("out")?;
     let model_name = args.get("model").unwrap_or("complex");
@@ -364,14 +368,15 @@ fn train(args: &Args) -> CmdResult {
                 core_init,
                 &mut rng,
             );
-            println!(
+            writeln!(
+                stdout,
                 "training block-term MEI (K = {}, Ce = {}, Cr = {}, D = {dim}, {} parameters) on {}",
                 shape.k,
                 shape.ce,
                 shape.cr,
                 m.num_params(),
                 ds.stats()
-            );
+            )?;
             m
         }
         None => {
@@ -384,12 +389,13 @@ fn train(args: &Args) -> CmdResult {
                 dim,
             };
             let m = MultiEmbedModel::with_fixed_weights(cfg, omega, &mut rng);
-            println!(
+            writeln!(
+                stdout,
                 "training {} (n = {n}, D = {dim}, {} parameters) on {}",
                 preset.name(),
                 m.num_params(),
                 ds.stats()
-            );
+            )?;
             m
         }
     };
@@ -400,7 +406,7 @@ fn train(args: &Args) -> CmdResult {
         let sink = JsonlObserver::create(path)
             .map_err(|e| format!("cannot open --metrics-out {path}: {e}"))?;
         sinks.push(Arc::new(sink));
-        println!("writing per-epoch metrics to {path}");
+        writeln!(stdout, "writing per-epoch metrics to {path}")?;
     }
     let log_every: usize = args.get_parsed("log-every", 0)?;
     if log_every > 0 {
@@ -417,24 +423,25 @@ fn train(args: &Args) -> CmdResult {
         Some(ckpt) => {
             let cp = mei_core::load_checkpoint(ckpt)
                 .map_err(|e| format!("cannot resume from {ckpt}: {e}"))?;
-            println!("resuming from {ckpt} at epoch {}", cp.epoch);
+            writeln!(stdout, "resuming from {ckpt} at epoch {}", cp.epoch)?;
             trainer
                 .resume(&mut model, &ds, &filter, cp)
                 .map_err(|e| format!("cannot resume from {ckpt}: {e}"))?
         }
         None => trainer.train(&mut model, &ds, &filter),
     };
-    println!(
+    writeln!(
+        stdout,
         "done: {} epochs, best validation MRR {:.4} at epoch {}",
         report.epochs_run, report.best_valid_mrr, report.best_epoch
-    );
+    )?;
     save_model(&model, out)?;
-    println!("model saved to {out}");
+    writeln!(stdout, "model saved to {out}")?;
     Ok(())
 }
 
 /// `mei eval`.
-fn eval(args: &Args) -> CmdResult {
+fn eval(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let ds = load_dataset(args)?;
     let model = load_model(args.require("model-file")?)?;
     if model.config().num_entities != ds.num_entities() {
@@ -455,12 +462,13 @@ fn eval(args: &Args) -> CmdResult {
     let filter = ds.filter_store();
     let eval_cfg = EvalConfig::default();
     let (raw, filtered, stats) = evaluate_with_stats(&model, split, &filter, &eval_cfg);
-    println!("filtered: {filtered}");
-    println!("raw:      {raw}");
-    println!(
+    writeln!(stdout, "filtered: {filtered}")?;
+    writeln!(stdout, "raw:      {raw}")?;
+    writeln!(
+        stdout,
         "{} queries in {:.2}s ({:.0} queries/sec, tie-rate {:.4})",
         stats.queries, stats.wall_secs, stats.queries_per_sec, stats.tie_rate
-    );
+    )?;
 
     if let Some(path) = args.get("metrics-out") {
         let sink = JsonlObserver::create(path)
@@ -479,16 +487,16 @@ fn eval(args: &Args) -> CmdResult {
             tail_ranks: stats.tail_ranks,
             wall_secs: stats.wall_secs,
         });
-        println!("metrics written to {path}");
+        writeln!(stdout, "metrics written to {path}")?;
     }
 
     if args.get_parsed("categories", false)? {
         let cats = categorize_relations(&ds.train, ds.num_relations(), 1.5);
-        println!("\nfiltered MRR by relation category:");
+        writeln!(stdout, "\nfiltered MRR by relation category:")?;
         let mut rows: Vec<_> = mrr_by_category(&filtered, &cats).into_iter().collect();
         rows.sort_by_key(|(c, _)| c.label());
         for (cat, mrr) in rows {
-            println!("  {:<4} {mrr:.3}", cat.label());
+            writeln!(stdout, "  {:<4} {mrr:.3}", cat.label())?;
         }
     }
 
@@ -497,16 +505,17 @@ fn eval(args: &Args) -> CmdResult {
         let fit_set = labeled_with_negatives(&mut rng, &ds.valid, ds.num_entities(), &filter);
         let test_set = labeled_with_negatives(&mut rng, split, ds.num_entities(), &filter);
         let clf = TripleClassifier::fit(&model, &fit_set);
-        println!(
+        writeln!(
+            stdout,
             "\ntriple classification accuracy: {:.3} (thresholds fit on valid)",
             clf.accuracy(&model, &test_set)
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `mei predict`.
-fn predict(args: &Args) -> CmdResult {
+fn predict(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let ds = load_dataset(args)?;
     let model = load_model(args.require("model-file")?)?;
     let (side, anchor_name) = match (args.get("head"), args.get("tail")) {
@@ -528,22 +537,27 @@ fn predict(args: &Args) -> CmdResult {
     let known = ds.train_store();
     let preds = top_k(&model, side, EntityId(anchor), RelationId(relation), topk, &known);
     match side {
-        Side::Tail => println!("top-{topk} predicted tails for ({anchor_name}, ?, {rel_name}):"),
-        Side::Head => println!("top-{topk} predicted heads for (?, {anchor_name}, {rel_name}):"),
+        Side::Tail => {
+            writeln!(stdout, "top-{topk} predicted tails for ({anchor_name}, ?, {rel_name}):")?
+        }
+        Side::Head => {
+            writeln!(stdout, "top-{topk} predicted heads for (?, {anchor_name}, {rel_name}):")?
+        }
     }
     for (rank, (e, score)) in preds.iter().enumerate() {
-        println!(
+        writeln!(
+            stdout,
             "{:>3}. {:<30} score {score:.4}  p(valid) {:.3}",
             rank + 1,
             ds.entities.name(e.0).unwrap_or("?"),
             mei_core::loss::predict_probability(*score)
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `mei serve`.
-fn serve(args: &Args) -> CmdResult {
+fn serve(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     use mei_serve::{Engine, ServeConfig, Server, ServerConfig, Snapshot};
     use std::time::Duration;
 
@@ -608,22 +622,21 @@ fn serve(args: &Args) -> CmdResult {
     let server = Server::start_with(Arc::clone(&engine), addr, server_config)
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     // Scripts (and the e2e test) parse this line for the ephemeral port.
-    println!("serving on {} (epoch {})", server.local_addr(), engine.epoch());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    writeln!(stdout, "serving on {} (epoch {})", server.local_addr(), engine.epoch())?;
+    stdout.flush()?;
     server.wait();
     if let Some(path) = args.get("metrics-out") {
         let line = engine.metrics_snapshot().to_json();
         std::fs::write(path, line + "\n")
             .map_err(|e| format!("cannot write --metrics-out {path}: {e}"))?;
-        println!("serving metrics written to {path}");
+        writeln!(stdout, "serving metrics written to {path}")?;
     }
-    println!("server stopped");
+    writeln!(stdout, "server stopped")?;
     Ok(())
 }
 
 /// `mei export`.
-fn export(args: &Args) -> CmdResult {
+fn export(args: &Args, stdout: &mut dyn Write) -> CmdResult {
     let ds = load_dataset(args)?;
     let model = load_model(args.require("model-file")?)?;
     let out = args.require("out")?;
@@ -634,11 +647,12 @@ fn export(args: &Args) -> CmdResult {
         |e| ds.entities.name(e).unwrap_or("?").to_owned(),
         w,
     )?;
-    println!(
+    writeln!(
+        stdout,
         "wrote {} × {} embedding matrix to {out}",
         model.config().num_entities,
         model.config().n * model.config().dim
-    );
+    )?;
     Ok(())
 }
 

@@ -20,6 +20,8 @@
 mod args;
 mod commands;
 
+use std::io::{ErrorKind, Write};
+
 use args::{Args, ArgsError};
 
 fn main() {
@@ -36,7 +38,14 @@ fn main() {
         eprintln!("{}", commands::USAGE);
         std::process::exit(2);
     });
-    if let Err(e) = (cmd.run)(&args) {
+    let mut stdout = std::io::stdout();
+    let result = (cmd.run)(&args, &mut stdout).and_then(|()| Ok(stdout.flush()?));
+    if let Err(e) = result {
+        // A reader that leaves early (`mei stats | head -1`) is not an
+        // error: stop writing and exit 0 without a word.
+        if e.downcast_ref::<std::io::Error>().is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) {
+            return;
+        }
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -3,7 +3,7 @@
 //! through its public command-line surface.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn mei(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mei")).args(args).output().expect("failed to spawn mei")
@@ -37,6 +37,30 @@ fn help_and_models_commands() {
     assert!(out.contains("ComplEx"));
     assert!(out.contains("Quaternion"));
     assert!(out.contains("Octonion"));
+}
+
+/// A reader that closes stdout before `mei` writes (`mei stats | head`)
+/// ends the command quietly: exit 0 and nothing on stderr, not a panic
+/// from the first failed write.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let dir = workdir("pipe");
+    let data = dir.join("data");
+    let data_s = data.to_str().unwrap();
+    assert!(mei(&["generate", "--out", data_s, "--scale", "tiny", "--seed", "5"]).status.success());
+    for args in [&["stats", "--dataset", data_s][..], &["models"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mei"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn mei");
+        drop(child.stdout.take());
+        let o = child.wait_with_output().expect("failed to wait for mei");
+        assert_eq!(o.status.code(), Some(0), "{args:?}: stderr: {}", stderr(&o));
+        assert!(o.stderr.is_empty(), "{args:?}: stderr: {}", stderr(&o));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -5,7 +5,7 @@ use mei_kg::{EntityId, RelationId, Triple};
 use mei_math::block::{block_head_context, block_tail_context};
 use mei_math::init::Init;
 use mei_math::kernels::{dot_fast, gemm_nt, hadamard_axpy_fast, trilinear_fast};
-use mei_math::vecops::{dot, hadamard_axpy, trilinear};
+use mei_math::vecops::dot;
 use rand::Rng;
 
 use crate::embedding::EmbeddingTable;
@@ -145,47 +145,6 @@ impl InteractionNorm {
         self.beta.copy_from_slice(&flat[kdim..2 * kdim]);
         self.running_mean.copy_from_slice(&flat[2 * kdim..3 * kdim]);
         self.running_var.copy_from_slice(&flat[3 * kdim..]);
-    }
-}
-
-/// Dense per-row gradients for one scored triple, plus the effective-ω
-/// gradient when ω is trainable. Buffers are reused across triples.
-#[derive(Debug, Clone)]
-pub struct TripleGrads {
-    /// Gradient w.r.t. the head entity's full row (`n·dim`).
-    pub head: Vec<f32>,
-    /// Gradient w.r.t. the tail entity's full row.
-    pub tail: Vec<f32>,
-    /// Gradient w.r.t. the relation's full row.
-    pub rel: Vec<f32>,
-    /// Gradient w.r.t. the *effective* ω (`n³`), populated only when the
-    /// model's ω is trainable.
-    pub omega_eff: Vec<f32>,
-}
-
-impl TripleGrads {
-    /// Allocates zeroed buffers for a model of shape `cfg` (cubic grid —
-    /// for non-cubic ω use [`MultiEmbedModel::new_grads`]).
-    pub fn zeros(cfg: &ModelConfig) -> Self {
-        Self::with_dims(cfg.n, cfg.n, cfg.dim)
-    }
-
-    /// Allocates zeroed buffers for an `n_ent`/`n_rel` grid.
-    pub fn with_dims(n_ent: usize, n_rel: usize, dim: usize) -> Self {
-        Self {
-            head: vec![0.0; n_ent * dim],
-            tail: vec![0.0; n_ent * dim],
-            rel: vec![0.0; n_rel * dim],
-            omega_eff: vec![0.0; n_ent * n_ent * n_rel],
-        }
-    }
-
-    /// Zeroes all buffers.
-    pub fn clear(&mut self) {
-        self.head.fill(0.0);
-        self.tail.fill(0.0);
-        self.rel.fill(0.0);
-        self.omega_eff.fill(0.0);
     }
 }
 
@@ -576,12 +535,6 @@ impl MultiEmbedModel {
         self.entities.len() + self.relations.len()
     }
 
-    /// Allocates gradient buffers matching this model's (possibly
-    /// non-cubic) grid.
-    pub fn new_grads(&self) -> TripleGrads {
-        TripleGrads::with_dims(self.cfg.n, self.effective_omega.n_rel(), self.cfg.dim)
-    }
-
     /// Score of one triple (Eq. 8). With interaction norm enabled the
     /// score routes through the (normalized) tail context so it matches
     /// the ranking paths exactly.
@@ -601,43 +554,6 @@ impl MultiEmbedModel {
                 continue;
             }
             s += w * trilinear_fast(&h[i * d..(i + 1) * d], &ta[j * d..(j + 1) * d], &r[k * d..(k + 1) * d]);
-        }
-        s
-    }
-
-    /// Scores the triple and accumulates `coef · ∂S/∂θ` into `grads` for
-    /// every participating parameter (the analytic backward pass; `coef`
-    /// is `∂L/∂S`). Returns the score.
-    ///
-    /// `grads` is **not** cleared first, so a caller can fold several
-    /// corruptions of the same triple into shared buffers.
-    pub fn score_and_accumulate_grads(&self, t: Triple, coef: f32, grads: &mut TripleGrads) -> f32 {
-        assert!(
-            self.norm.is_none(),
-            "the per-triple gradient path does not support interaction batch norm; \
-             train with --sampling kvsall"
-        );
-        let h = self.entities.row(t.head.idx());
-        let ta = self.entities.row(t.tail.idx());
-        let r = self.relations.row(t.relation.idx());
-        let d = self.cfg.dim;
-        let n = self.cfg.n;
-        let mut s = 0.0f32;
-        for &(i, j, k, w) in &self.terms {
-            let hi = &h[i * d..(i + 1) * d];
-            let tj = &ta[j * d..(j + 1) * d];
-            let rk = &r[k * d..(k + 1) * d];
-            let tri = trilinear(hi, tj, rk);
-            s += w * tri;
-            let cw = coef * w;
-            if cw != 0.0 {
-                hadamard_axpy(cw, tj, rk, &mut grads.head[i * d..(i + 1) * d]);
-                hadamard_axpy(cw, hi, rk, &mut grads.tail[j * d..(j + 1) * d]);
-                hadamard_axpy(cw, hi, tj, &mut grads.rel[k * d..(k + 1) * d]);
-            }
-            if self.trainable_omega {
-                grads.omega_eff[(i * n + j) * self.effective_omega.n_rel() + k] += coef * tri;
-            }
         }
         s
     }
@@ -774,6 +690,7 @@ mod tests {
     use super::*;
     use mei_algebra::embedding::{complex_score, quaternion_score};
     use mei_autodiff::finite_difference_gradient;
+    use mei_math::vecops::trilinear;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -901,53 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_gradients_match_finite_differences() {
-        let mut m = tiny_model(WeightPreset::ComplEx, 11);
-        let t = Triple::new(0, 1, 2);
-        let coef = 0.7f32;
-        let mut grads = TripleGrads::zeros(m.config());
-        m.score_and_accumulate_grads(t, coef, &mut grads);
-
-        // Finite differences on the head row.
-        let row_len = m.config().n * m.config().dim;
-        let base: Vec<f64> = m.entities.row(0).iter().map(|v| f64::from(*v)).collect();
-        for idx in 0..row_len {
-            let mut probe = |delta: f64| -> f64 {
-                let mut x = base.clone();
-                x[idx] += delta;
-                for (slot, v) in m.entities.row_mut(0).iter_mut().zip(&x) {
-                    *slot = *v as f32;
-                }
-                let s = f64::from(m.score_triple(t));
-                for (slot, v) in m.entities.row_mut(0).iter_mut().zip(&base) {
-                    *slot = *v as f32;
-                }
-                s
-            };
-            let fd = (probe(1e-3) - probe(-1e-3)) / 2e-3 * f64::from(coef);
-            assert!(
-                (f64::from(grads.head[idx]) - fd).abs() < 5e-3 * (1.0 + fd.abs()),
-                "head[{idx}]: {} vs {}",
-                grads.head[idx],
-                fd
-            );
-        }
-    }
-
-    #[test]
-    fn self_loop_triple_gradients_are_well_defined() {
-        // head == tail: both gradient buffers refer to the same entity row;
-        // the trainer sums them. Here we just check the math stays finite
-        // and the score matches.
-        let m = tiny_model(WeightPreset::Cph, 13);
-        let t = Triple::new(2, 2, 1);
-        let mut g = TripleGrads::zeros(m.config());
-        let s = m.score_and_accumulate_grads(t, 1.0, &mut g);
-        assert!((s - m.score_triple(t)).abs() < 1e-6);
-        assert!(g.head.iter().chain(&g.tail).all(|v| v.is_finite()));
-    }
-
-    #[test]
     fn learned_omega_gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(21);
         let cfg = ModelConfig { num_entities: 5, num_relations: 2, n: 2, dim: 4 };
@@ -959,10 +829,23 @@ mod tests {
         ] {
             let m = MultiEmbedModel::with_learned_weights(cfg, restriction, 0.5, &mut rng);
             let t = Triple::new(0, 1, 0);
-            let mut g = TripleGrads::zeros(&cfg);
-            m.score_and_accumulate_grads(t, 1.0, &mut g);
+            // S is linear in ω, so ∂S/∂ω(i,j,k) = ⟨h⁽ⁱ⁾, t⁽ʲ⁾, r⁽ᵏ⁾⟩.
+            let (h, ta, r) = (m.entities.row(0), m.entities.row(1), m.relations.row(0));
+            let d = cfg.dim;
+            let mut grad_eff = vec![0.0f32; 8];
+            for i in 0..2 {
+                for j in 0..2 {
+                    for k in 0..2 {
+                        grad_eff[(i * 2 + j) * 2 + k] = trilinear(
+                            &h[i * d..(i + 1) * d],
+                            &ta[j * d..(j + 1) * d],
+                            &r[k * d..(k + 1) * d],
+                        );
+                    }
+                }
+            }
             let mut grad_raw = vec![0.0f32; 8];
-            m.omega_grad_raw(&g.omega_eff, &mut grad_raw);
+            m.omega_grad_raw(&grad_eff, &mut grad_raw);
 
             let base: Vec<f64> = m.raw_omega().dense().iter().map(|v| f64::from(*v)).collect();
             let probe = std::cell::RefCell::new(m.clone());

@@ -5,6 +5,14 @@
 //! `head⟂relation⟂tail` (FB15k/WN18 releases) and `head⟂tail⟂relation`.
 //! The loader supports both; names are interned on first sight so the same
 //! dictionaries span all three splits.
+//!
+//! A split names only the entities and relations that occur in a triple,
+//! and first-sight interning numbers them in file order. So
+//! [`save_benchmark_dir`] also writes the vocabulary as `entities.dict`
+//! and `relations.dict` in RotatE's data layout (`id<TAB>name`, ids
+//! `0..N−1` in order). When both files are present, [`load_benchmark_dir`]
+//! takes ids and counts from them, so a round trip keeps every id and
+//! every entity that occurs in no triple.
 
 use std::fmt;
 use std::fs::File;
@@ -116,20 +124,81 @@ pub fn read_split<R: BufRead>(
     Ok(triples)
 }
 
+/// The vocabulary files [`save_benchmark_dir`] writes next to the splits.
+const ENTITY_DICT: &str = "entities.dict";
+const RELATION_DICT: &str = "relations.dict";
+
+/// Reads one `id<TAB>name` vocabulary file: ids must run `0, 1, 2, …` in
+/// line order and names must be distinct. Empty lines are skipped.
+fn read_dict(path: &Path) -> Result<Dictionary, KgError> {
+    let source_name = path.display().to_string();
+    let mut dict = Dictionary::new();
+    for (lineno, line) in BufReader::new(File::open(path)?).lines().enumerate() {
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let error = |message: String| KgError::Parse {
+            source_name: source_name.clone(),
+            line: lineno + 1,
+            message,
+        };
+        let (id, name) =
+            line.split_once('\t').ok_or_else(|| error("expected `id<TAB>name`".to_owned()))?;
+        let (id, name) = (id.trim(), name.trim());
+        if id.parse::<usize>().ok() != Some(dict.len()) {
+            return Err(error(format!("expected id {}, found {id:?}", dict.len())));
+        }
+        if dict.get(name).is_some() {
+            return Err(error(format!("duplicate name {name:?}")));
+        }
+        dict.intern(name);
+    }
+    Ok(dict)
+}
+
 /// Loads a benchmark directory containing `train.txt`, `valid.txt`,
-/// `test.txt`.
+/// `test.txt`, and optionally the `entities.dict` and `relations.dict`
+/// vocabulary [`save_benchmark_dir`] writes.
+///
+/// With both vocabulary files present, ids come from them and a split
+/// that names anything they do not list is rejected. Without them, names
+/// are interned on first sight.
 ///
 /// # Errors
-/// Fails if any file is missing or malformed, or if the resulting dataset
+/// Fails if any file is missing or malformed, if a split names an entity
+/// or relation the vocabulary does not list, or if the resulting dataset
 /// does not validate.
 pub fn load_benchmark_dir<P: AsRef<Path>>(dir: P, order: ColumnOrder) -> Result<Dataset, KgError> {
     let dir = dir.as_ref();
-    let mut entities = Dictionary::new();
-    let mut relations = Dictionary::new();
+    let (entity_dict, relation_dict) = (dir.join(ENTITY_DICT), dir.join(RELATION_DICT));
+    let listed = entity_dict.exists() && relation_dict.exists();
+    let (mut entities, mut relations) = if listed {
+        (read_dict(&entity_dict)?, read_dict(&relation_dict)?)
+    } else {
+        (Dictionary::new(), Dictionary::new())
+    };
+    let (num_listed_entities, num_listed_relations) = (entities.len(), relations.len());
     let mut load = |file: &str| -> Result<Vec<Triple>, KgError> {
         let path = dir.join(file);
+        let source = path.display().to_string();
         let f = File::open(&path)?;
-        read_split(BufReader::new(f), order, &path.display().to_string(), &mut entities, &mut relations)
+        let triples = read_split(BufReader::new(f), order, &source, &mut entities, &mut relations)?;
+        // Interning an unlisted name grows its dictionary past the listed
+        // count; the first such name is the first one the split used.
+        if listed {
+            for (dict, num_listed, what, dict_file) in [
+                (&entities, num_listed_entities, "entity", ENTITY_DICT),
+                (&relations, num_listed_relations, "relation", RELATION_DICT),
+            ] {
+                if let Some(name) = dict.name(num_listed as u32) {
+                    return Err(KgError::Integrity(format!(
+                        "{source}: {what} {name:?} is not listed in {dict_file}"
+                    )));
+                }
+            }
+        }
+        Ok(triples)
     };
     let train = load("train.txt")?;
     let valid = load("valid.txt")?;
@@ -159,7 +228,8 @@ pub fn write_split<W: Write>(
     Ok(())
 }
 
-/// Saves a dataset as `train.txt` / `valid.txt` / `test.txt` under `dir`.
+/// Saves a dataset as `train.txt` / `valid.txt` / `test.txt` under `dir`,
+/// with its vocabulary as `entities.dict` / `relations.dict`.
 pub fn save_benchmark_dir<P: AsRef<Path>>(
     ds: &Dataset,
     dir: P,
@@ -170,8 +240,16 @@ pub fn save_benchmark_dir<P: AsRef<Path>>(
     for (name, triples) in
         [("train.txt", &ds.train), ("valid.txt", &ds.valid), ("test.txt", &ds.test)]
     {
-        let f = File::create(dir.join(name))?;
-        write_split(BufWriter::new(f), triples, order, &ds.entities, &ds.relations)?;
+        let mut w = BufWriter::new(File::create(dir.join(name))?);
+        write_split(&mut w, triples, order, &ds.entities, &ds.relations)?;
+        w.flush()?;
+    }
+    for (name, dict) in [(ENTITY_DICT, &ds.entities), (RELATION_DICT, &ds.relations)] {
+        let mut w = BufWriter::new(File::create(dir.join(name))?);
+        for (id, entry) in dict.iter() {
+            writeln!(w, "{id}\t{entry}")?;
+        }
+        w.flush()?;
     }
     Ok(())
 }
@@ -239,6 +317,70 @@ mod tests {
         let b = loaded.entities.get("b").unwrap();
         let p = loaded.relations.get("p").unwrap();
         assert!(loaded.train.contains(&Triple::new(a, b, p)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A scratch directory holding `ds` as saved by `save_benchmark_dir`.
+    fn saved(ds: &Dataset, tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mei_kg_io_{tag}_{}", std::process::id()));
+        save_benchmark_dir(ds, &dir, ColumnOrder::HeadRelTail).unwrap();
+        dir
+    }
+
+    /// `d` and `lonely` occur in no triple; `b` first occurs in valid.
+    fn with_unused_names() -> Dataset {
+        Dataset {
+            entities: Dictionary::from_names(["d", "a", "c", "lonely", "b"]),
+            relations: Dictionary::from_names(["unused", "p", "q"]),
+            train: vec![Triple::new(2, 1, 2), Triple::new(1, 2, 1)],
+            valid: vec![Triple::new(4, 1, 1)],
+            test: vec![Triple::new(1, 4, 2)],
+        }
+    }
+
+    #[test]
+    fn vocabulary_round_trip_keeps_ids_and_unused_names() {
+        let ds = with_unused_names();
+        let dir = saved(&ds, "vocab");
+        let loaded = load_benchmark_dir(&dir, ColumnOrder::HeadRelTail).unwrap();
+        assert_eq!(loaded.num_entities(), 5);
+        assert_eq!(loaded.num_relations(), 3);
+        assert!(loaded.entities.iter().eq(ds.entities.iter()));
+        assert!(loaded.relations.iter().eq(ds.relations.iter()));
+        assert_eq!((&loaded.train, &loaded.valid, &loaded.test), (&ds.train, &ds.valid, &ds.test));
+
+        // Without the vocabulary the directory loads as a plain benchmark
+        // release: first-sight ids, and the unused names are gone.
+        std::fs::remove_file(dir.join(ENTITY_DICT)).unwrap();
+        let plain = load_benchmark_dir(&dir, ColumnOrder::HeadRelTail).unwrap();
+        assert_eq!(plain.num_entities(), 3);
+        assert_eq!(plain.num_relations(), 2);
+        assert_eq!(plain.entities.name(0), Some("c"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn malformed_vocabulary_is_rejected() {
+        let ds = with_unused_names();
+        for (tag, file, content, expect) in [
+            ("gap", ENTITY_DICT, "0\td\n2\ta\n", "expected id 1"),
+            ("dup", RELATION_DICT, "0\tp\n1\tq\n2\tp\n", "duplicate name \"p\""),
+            ("notab", ENTITY_DICT, "0 d\n", "expected `id<TAB>name`"),
+        ] {
+            let dir = saved(&ds, tag);
+            std::fs::write(dir.join(file), content).unwrap();
+            let err = load_benchmark_dir(&dir, ColumnOrder::HeadRelTail).unwrap_err();
+            assert!(matches!(err, KgError::Parse { .. }), "{tag}: {err}");
+            assert!(err.to_string().contains(expect), "{tag}: {err}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        // A triple naming an entity the vocabulary does not list.
+        let dir = saved(&ds, "unlisted");
+        std::fs::write(dir.join(ENTITY_DICT), "0\td\n1\ta\n2\tc\n3\tlonely\n").unwrap();
+        let err = load_benchmark_dir(&dir, ColumnOrder::HeadRelTail).unwrap_err();
+        assert!(matches!(err, KgError::Integrity(_)), "{err}");
+        assert!(err.to_string().contains("valid.txt: entity \"b\" is not listed"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

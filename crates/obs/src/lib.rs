@@ -1,12 +1,9 @@
 //! # mei-obs — observability for the mei training/serving stack
 //!
-//! This crate provides the three pieces the instrumented loops need:
+//! This crate provides the two pieces the instrumented loops need:
 //!
 //! * [`MetricsRegistry`] — named counters, gauges, and fixed-bucket
 //!   histograms backed by atomics, cheap to update from rayon workers;
-//! * [`SpanTimer`] / [`PhaseSet`] — RAII wall-clock timers that
-//!   attribute elapsed time to named phases (sampling, forward,
-//!   backward, step, project, eval);
 //! * [`TrainObserver`] — a sink trait for per-epoch and per-eval
 //!   records, with [`NullObserver`] (default, near-zero overhead),
 //!   [`ConsoleObserver`], [`JsonlObserver`], and [`FanoutObserver`]
@@ -36,10 +33,8 @@ pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod record;
-pub mod timer;
 
 pub use json::JsonValue;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use observer::{ConsoleObserver, FanoutObserver, JsonlObserver, NullObserver, TrainObserver};
 pub use record::{EpochRecord, EvalRecord, PhaseBreakdown, RankHistogram, RunSummary};
-pub use timer::{PhaseAccum, PhaseSet, SpanTimer};

@@ -13,6 +13,7 @@
 # Usage: scripts/rebench.sh [repro args...]
 #   scripts/rebench.sh                      # rebuild only, print fingerprint
 #   scripts/rebench.sh bench-train --scale tiny --out BENCH_train.json
+#   scripts/rebench.sh bench-kernels --out BENCH_kernels.json
 #
 # bench-train also emits the "kvsall" section (k-vs-all full-softmax
 # candidate-scores/sec, cross-thread parity, kill-and-resume) in the same
